@@ -289,6 +289,8 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_search(args) -> int:
+    if args.top < 1:
+        raise ConfigError(f"--top must be at least 1, got {args.top}")
     try:
         train_recs, holdout_recs, _ = _load_split_dirs(args.data)
         ps, te, _extra = modelmod.load_checkpoint(args.model)

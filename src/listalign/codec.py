@@ -26,7 +26,16 @@ import numpy as np
 
 from ._fileio import Reader, atomic_write_bytes, pack_u8, pack_u32, pack_u64, read_magic
 from .errors import DegenerateInput, ShapeMismatch
-from .linalg import PcaModel, as_matrix, kmeans_fit, kmeans_refine, pca_fit, percentiles, procrustes
+from .linalg import (
+    PcaModel,
+    as_matrix,
+    kmeans_fit,  # noqa: F401  unused here; perfbench/tracing.py patches codec.kmeans_fit
+    kmeans_pp_seeds,
+    kmeans_refine,
+    pca_fit,
+    percentiles,
+    procrustes,
+)
 
 __all__ = [
     "CodeBlock",
@@ -120,12 +129,20 @@ def _pad_columns(x: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
+def _subspace_blocks(x: np.ndarray, m: int, sub_dim: int) -> np.ndarray:
+    """Zero-pad x to m * sub_dim columns and stack its subspaces, (m, n, sub_dim)."""
+    xp = _pad_columns(x, m * sub_dim)
+    return np.ascontiguousarray(xp.reshape(x.shape[0], m, sub_dim).transpose(1, 0, 2))
+
+
 def pq_train(x, m: int, k: int, iters: int = 25, seed: int = 0) -> PqCodebook:
     """Train an m-subspace, k-centroid product quantizer.
 
     The input is zero-padded so the width divides evenly into m subspaces of
     sub_dim = ceil(d / m) columns each. Subspace j runs k-means with seed
-    seed + j, so per-slice results can be reproduced independently.
+    seed + j, so per-slice results can be reproduced independently:
+    codebooks[j] equals kmeans_fit(slice_j, k, iters, seed + j).centroids
+    rounded to float32. All subspaces are seeded in one batched k-means++ pass.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -135,12 +152,14 @@ def pq_train(x, m: int, k: int, iters: int = 25, seed: int = 0) -> PqCodebook:
         raise DegenerateInput(f"pq_train: k must be in [1, 256] (one byte per code), got {k}")
     if n < k:
         raise DegenerateInput(f"pq_train: need n >= k, got n={n}, k={k}")
+    if iters < 0:
+        raise DegenerateInput(f"pq_train: iters must be >= 0, got {iters}")
     sub_dim = -(-d // m)
-    xp = _pad_columns(x, m * sub_dim)
-    codebooks = np.empty((m, k, sub_dim))
-    for j in range(m):
-        sl = xp[:, j * sub_dim : (j + 1) * sub_dim]
-        codebooks[j] = kmeans_fit(sl, k, iters=iters, seed=seed + j).centroids
+    blocks = _subspace_blocks(x, m, sub_dim)
+    seeds = kmeans_pp_seeds(blocks, k, [seed + j for j in range(m)])
+    codebooks = np.stack(
+        [kmeans_refine(blocks[j], seeds[j], iters=iters).centroids for j in range(m)]
+    )
     return PqCodebook(dim=d, m=m, k=k, sub_dim=sub_dim, codebooks=_f32(codebooks))
 
 
@@ -201,10 +220,8 @@ class OpqCodec:
     objective_history: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def _recon_error(cb: PqCodebook, xr: np.ndarray) -> float:
-    codes = _pq_encode_padded(cb, xr)
-    xhat = _pq_decode_padded(cb, codes)
-    return float(np.sum((xr - xhat) ** 2))
+def _reconstruct(cb: PqCodebook, xr: np.ndarray) -> np.ndarray:
+    return _pq_decode_padded(cb, _pq_encode_padded(cb, xr))
 
 
 def opq_train(
@@ -218,12 +235,14 @@ def opq_train(
 ) -> OpqCodec:
     """Alternate codebook and rotation updates to fit a rotated product quantizer.
 
-    Starts from the identity rotation and a plain PQ fit, then loops: encode /
-    decode in the rotated space, re-solve the rotation against the
-    reconstructions (orthogonal Procrustes), and refine each subspace codebook
-    by warm-started Lloyd iterations. Both steps lower the total squared
-    reconstruction error, so the recorded objective never increases. With
-    outer_iters=0 the result is exactly the plain PQ fit.
+    Starts from the identity rotation and a plain PQ fit, then loops: re-solve
+    the rotation against the current reconstructions (orthogonal Procrustes),
+    and refine each subspace codebook by warm-started Lloyd iterations. Each
+    (codebook, rotation) pair is encoded and decoded once; that reconstruction
+    gives both its recorded objective and the next Procrustes target. Both
+    steps lower the total squared reconstruction error, so the recorded
+    objective never increases. With outer_iters=0 the result is exactly the
+    plain PQ fit.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -244,20 +263,19 @@ def opq_train(
     rotation = np.eye(rotated_dim)
     xr = xp
     cb = pq_train(xr, m, k, iters=kmeans_iters, seed=seed)
-    history = [_recon_error(cb, xr)]
+    xhat = _reconstruct(cb, xr)
+    history = [float(np.sum((xr - xhat) ** 2))]
 
     for _ in range(outer_iters):
-        codes = _pq_encode_padded(cb, xr)
-        xhat = _pq_decode_padded(cb, codes)
         rotation = _f32(procrustes(xp, xhat))
         xr = xp @ rotation
-        sub = cb.sub_dim
-        new_books = np.empty_like(cb.codebooks)
-        for j in range(m):
-            sl = xr[:, j * sub : (j + 1) * sub]
-            new_books[j] = kmeans_refine(sl, cb.codebooks[j], iters=kmeans_iters).centroids
-        cb = PqCodebook(dim=rotated_dim, m=m, k=k, sub_dim=sub, codebooks=_f32(new_books))
-        history.append(_recon_error(cb, xr))
+        blocks = _subspace_blocks(xr, m, cb.sub_dim)
+        new_books = np.stack(
+            [kmeans_refine(blocks[j], cb.codebooks[j], iters=kmeans_iters).centroids for j in range(m)]
+        )
+        cb = PqCodebook(dim=rotated_dim, m=m, k=k, sub_dim=cb.sub_dim, codebooks=_f32(new_books))
+        xhat = _reconstruct(cb, xr)
+        history.append(float(np.sum((xr - xhat) ** 2)))
 
     return OpqCodec(
         input_dim=d,

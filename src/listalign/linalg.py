@@ -17,6 +17,7 @@ __all__ = [
     "KmeansModel",
     "as_matrix",
     "pca_fit",
+    "kmeans_pp_seeds",
     "kmeans_fit",
     "kmeans_refine",
     "procrustes",
@@ -105,33 +106,62 @@ class KmeansModel:
             raise ShapeMismatch(
                 f"assign: expected {self.centroids.shape[1]} columns, got {x.shape[1]}"
             )
-        return np.argmin(_sq_dists(x, self.centroids), axis=1)
+        return np.argmin(_sq_dists(x, self.centroids, np.sum(x * x, axis=1)), axis=1)
 
 
-def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Pairwise squared euclidean distances, (n, k)."""
-    # ||x-c||^2 expanded; clip tiny negatives from cancellation.
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * (x @ c.T)
-        + np.sum(c * c, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _sq_dists(x: np.ndarray, c: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """Pairwise squared euclidean distances, (..., n, k), given xx = ||x||^2 per row.
+
+    x is (..., n, d) and c is (..., k, d); leading axes are a stack of
+    independent problems.
+    """
+    # ||x-c||^2 expanded; clip tiny negatives from cancellation. Scaling c by -2
+    # is exact, so this is xx - 2 x.c + ||c||^2 bit for bit.
+    d2 = x @ np.swapaxes(-2.0 * c, -1, -2)
+    d2 += xx[..., None]
+    d2 += np.sum(c * c, axis=-1)[..., None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[rng.integers(n)]
-    d2 = _sq_dists(x, centroids[:1])[:, 0]
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centroids[j] = x[idx]
-        d2 = np.minimum(d2, _sq_dists(x, centroids[j : j + 1])[:, 0])
+def kmeans_pp_seeds(blocks, k: int, seeds) -> np.ndarray:
+    """k-means++ seeds for m independent (n, s) blocks at once, (m, k, s).
+
+    Block j draws from its own ``np.random.default_rng(seeds[j])`` with the
+    arithmetic of ``Generator.choice(n, p=d2 / d2.sum())``, so its seeds are
+    exactly those of a lone k-means++ run on that block with that seed. A block
+    whose points all sit on chosen seeds (total distance 0, e.g. zero padding)
+    draws its next seed uniformly. Requires 1 <= k <= n.
+    """
+    blocks = np.asarray(blocks, dtype=np.float64)
+    if blocks.ndim != 3:
+        raise ShapeMismatch(f"kmeans_pp_seeds: expected an (m, n, s) stack, got shape {blocks.shape}")
+    m, n, _ = blocks.shape
+    if len(seeds) != m:
+        raise ShapeMismatch(f"kmeans_pp_seeds: {len(seeds)} seeds for {m} blocks")
+    if not 1 <= k <= n:
+        raise DegenerateInput(f"kmeans_pp_seeds: k={k} outside [1, n={n}]")
+    rngs = [np.random.default_rng(s) for s in seeds]
+    rows = np.arange(m)
+    xx = np.sum(blocks * blocks, axis=2)
+    centroids = np.empty((m, k, blocks.shape[2]))
+    centroids[:, 0] = blocks[rows, [int(rng.integers(n)) for rng in rngs]]
+    d2 = _sq_dists(blocks, centroids[:, :1], xx)[:, :, 0]  # (m, n)
+    u = np.empty(m)
+    for t in range(1, k):
+        total = d2.sum(axis=1)
+        live = total > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cdf = np.cumsum(d2 / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+        for j, ok in enumerate(live.tolist()):
+            if ok:
+                u[j] = rngs[j].random()
+        # searchsorted(cdf, u, side="right") per block, as Generator.choice does.
+        idx = np.count_nonzero(cdf <= u[:, None], axis=1)
+        for j in np.flatnonzero(~live):
+            idx[j] = rngs[j].integers(n)
+        centroids[:, t] = blocks[rows, idx]
+        np.minimum(d2, _sq_dists(blocks, centroids[:, t : t + 1], xx)[:, :, 0], out=d2)
     return centroids
 
 
@@ -143,7 +173,8 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, iters: int):
     """
     k = centroids.shape[0]
     centroids = centroids.copy()
-    labels = np.argmin(_sq_dists(x, centroids), axis=1)
+    xx = np.sum(x * x, axis=1)
+    labels = np.argmin(_sq_dists(x, centroids, xx), axis=1)
     # Direct differences for the cost: exact zero when a point sits on its centroid.
     point_cost = np.sum((x - centroids[labels]) ** 2, axis=1)
     history = [float(point_cost.sum())]
@@ -166,7 +197,7 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, iters: int):
                 cost[far] = 0.0
         prev_labels = labels
         centroids = new_centroids
-        labels = np.argmin(_sq_dists(x, centroids), axis=1)
+        labels = np.argmin(_sq_dists(x, centroids, xx), axis=1)
         point_cost = np.sum((x - centroids[labels]) ** 2, axis=1)
         history.append(float(point_cost.sum()))
         if np.array_equal(labels, prev_labels):
@@ -188,10 +219,7 @@ def kmeans_fit(x, k: int, iters: int = 25, seed: int = 0) -> KmeansModel:
         raise DegenerateInput(f"kmeans_fit: need n >= k, got n={n}, k={k}")
     if iters < 0:
         raise DegenerateInput(f"kmeans_fit: iters must be >= 0, got {iters}")
-    rng = np.random.default_rng(seed)
-    centroids = _plus_plus_init(x, k, rng)
-    centroids, history = _lloyd(x, centroids, iters)
-    return KmeansModel(centroids=centroids, inertia=float(history[-1]), inertia_history=history)
+    return kmeans_refine(x, kmeans_pp_seeds(x[None], k, [seed])[0], iters)
 
 
 def kmeans_refine(x, centroids, iters: int = 25) -> KmeansModel:

@@ -244,6 +244,18 @@ def test_search_unknown_id_exits_6(workspace):
     ]) == 6
 
 
+@pytest.mark.parametrize("top", [0, -2])
+def test_search_top_below_one_exits_2(workspace, capsys, top):
+    first_id = json.loads((workspace["data"] / "train" / "dataset.jsonl").read_text().splitlines()[0])["id"]
+    assert main([
+        "search", "--data", str(workspace["data"]), "--model", str(workspace["run"] / "checkpoint.blm"),
+        "--query-id", str(first_id), "--top", str(top), "--quiet",
+    ]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--top" in err
+
+
 def test_eval_missing_checkpoint_exits_2(workspace, tmp_path):
     assert main([
         "eval", "--data", str(workspace["data"]), "--model", str(tmp_path / "nope.blm"),

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from listalign import codec
 from listalign.errors import DegenerateInput, ShapeMismatch
-from listalign.linalg import kmeans_fit
+from listalign.linalg import kmeans_fit, kmeans_refine, procrustes
+
+
+def _f32(a):
+    return np.asarray(a, dtype=np.float32).astype(np.float64)
 
 
 def _clustered(seed, n=400, d=8, k=16, noise=0.05):
@@ -52,21 +56,15 @@ class TestPq:
         np.testing.assert_array_equal(codec.pq_decode(cb, block), x)
 
     def test_matches_per_slice_kmeans_oracle(self):
-        '''Training slices independently with the same seeds gives the same error.'''
+        '''Each subspace codebook is exactly k-means on its own slice with seed + j.'''
         x = _clustered(1, n=500, d=12)
         m, k, iters, seed = 3, 16, 20, 7
         cb = codec.pq_train(x, m=m, k=k, iters=iters, seed=seed)
-        recon = codec.pq_decode(cb, codec.pq_encode(cb, x))
-        err = np.mean(np.linalg.norm(x - recon, axis=1))
-
         sub = x.shape[1] // m
-        oracle_parts = []
         for j in range(m):
             sl = x[:, j * sub : (j + 1) * sub]
-            km = kmeans_fit(sl, k, iters=iters, seed=seed + j)
-            oracle_parts.append(km.centroids[km.assign(sl)])
-        oracle_err = np.mean(np.linalg.norm(x - np.concatenate(oracle_parts, axis=1), axis=1))
-        assert err == pytest.approx(oracle_err, rel=0.02)
+            oracle = _f32(kmeans_fit(sl, k, iters=iters, seed=seed + j).centroids)
+            np.testing.assert_array_equal(cb.codebooks[j], oracle)
 
     def test_pads_when_m_does_not_divide_d(self):
         x = _clustered(2, n=200, d=7)
@@ -123,6 +121,36 @@ class TestOpq:
         np.testing.assert_array_equal(
             codec.opq_encode(opq, x).codes, codec.pq_encode(pq, x).codes
         )
+
+    @pytest.mark.parametrize("outer_iters", [0, 1, 2, 3])
+    def test_matches_two_encodes_per_iteration_reference(self, outer_iters):
+        '''Reusing each reconstruction leaves the codec and objective unchanged.'''
+        x = rotated_subspace_clusters(10, n=300)[:, :14]  # padded to 16 columns
+        m, k, seed, iters = 4, 8, 3, 6
+        opq = codec.opq_train(x, m=m, k=k, outer_iters=outer_iters, seed=seed, kmeans_iters=iters)
+
+        def recon(cb, xr):
+            return codec.pq_decode(cb, codec.pq_encode(cb, xr))
+
+        xp = np.zeros((x.shape[0], 16))
+        xp[:, :14] = x
+        xr, rotation = xp, np.eye(16)
+        cb = codec.pq_train(xr, m=m, k=k, iters=iters, seed=seed)
+        history = [float(np.sum((xr - recon(cb, xr)) ** 2))]
+        for _ in range(outer_iters):
+            rotation = _f32(procrustes(xp, recon(cb, xr)))
+            xr = xp @ rotation
+            s = cb.sub_dim
+            books = [
+                kmeans_refine(xr[:, j * s : (j + 1) * s], cb.codebooks[j], iters=iters).centroids
+                for j in range(m)
+            ]
+            cb = codec.PqCodebook(dim=16, m=m, k=k, sub_dim=s, codebooks=_f32(np.stack(books)))
+            history.append(float(np.sum((xr - recon(cb, xr)) ** 2)))
+
+        np.testing.assert_array_equal(opq.objective_history, history)
+        np.testing.assert_array_equal(opq.rotation, rotation)
+        np.testing.assert_array_equal(opq.pq.codebooks, cb.codebooks)
 
     def test_objective_monotone_non_increasing(self):
         x = rotated_subspace_clusters(5, n=600)

@@ -1,14 +1,17 @@
 """Tests for the PCA / k-means / Procrustes / percentile kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listalign.errors import DegenerateInput, ShapeMismatch
 from listalign.linalg import (
     KmeansModel,
     kmeans_fit,
+    kmeans_pp_seeds,
     kmeans_refine,
     pca_fit,
     percentiles,
@@ -155,6 +158,75 @@ class TestKmeans:
         assert m.centroids.shape == (k, 3)
         assert np.all(np.diff(m.inertia_history) <= 1e-9)
         assert np.isfinite(m.centroids).all()
+
+
+def _sequential_plus_plus(x, k, seed):
+    """Reference k-means++: one block, one distance pass and rng.choice draw per seed."""
+
+    def sq_dists(c):
+        d2 = np.sum(x * x, axis=1)[:, None] - 2.0 * (x @ c.T) + np.sum(c * c, axis=1)[None, :]
+        return np.maximum(d2, 0.0)
+
+    rng = np.random.default_rng(seed)
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[rng.integers(n)]
+    d2 = sq_dists(centroids[:1])[:, 0]
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[j] = x[idx]
+        d2 = np.minimum(d2, sq_dists(centroids[j : j + 1])[:, 0])
+    return centroids
+
+
+class TestKmeansPpSeeds:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=40),
+        s=st.integers(min_value=1, max_value=6),
+        k_frac=st.floats(min_value=0.0, max_value=1.0),
+        grid=st.booleans(),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+        zero_blocks=st.lists(st.booleans(), min_size=4, max_size=4),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    # k == n with an all-zero block; k == 1; duplicate points at a tiny scale.
+    @example(m=3, n=12, s=2, k_frac=1.0, grid=False, scale=1.0,
+             zero_blocks=[False, True, False, False], seed=0)
+    @example(m=2, n=9, s=3, k_frac=0.0, grid=False, scale=1.0,
+             zero_blocks=[False] * 4, seed=1)
+    @example(m=2, n=20, s=4, k_frac=1.0, grid=True, scale=1e-6,
+             zero_blocks=[True, True, False, False], seed=2)
+    def test_property_matches_sequential_choice(self, m, n, s, k_frac, grid, scale, zero_blocks, seed):
+        '''Every block gets the seeds of a lone rng.choice run with its own seed.'''
+        rng = np.random.default_rng(seed)
+        # A coarse integer grid repeats points, so totals reach zero before k seeds.
+        blocks = rng.integers(-1, 2, size=(m, n, s)).astype(float) if grid else rng.normal(size=(m, n, s))
+        blocks *= scale
+        blocks[np.asarray(zero_blocks[:m])] = 0.0
+        k = 1 + int(k_frac * (n - 1))
+        seeds = [seed + 7 * j for j in range(m)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = kmeans_pp_seeds(blocks, k, seeds)
+            for j in range(m):
+                np.testing.assert_array_equal(out[j], _sequential_plus_plus(blocks[j], k, seeds[j]))
+
+    def test_rejects_bad_arguments(self):
+        blocks = np.zeros((2, 5, 3))
+        with pytest.raises(ShapeMismatch):
+            kmeans_pp_seeds(np.zeros((5, 3)), 2, [0])
+        with pytest.raises(ShapeMismatch):
+            kmeans_pp_seeds(blocks, 2, [0])
+        with pytest.raises(DegenerateInput):
+            kmeans_pp_seeds(blocks, 6, [0, 1])
+        with pytest.raises(DegenerateInput):
+            kmeans_pp_seeds(blocks, 0, [0, 1])
 
 
 # ---------------------------------------------------------------------------
