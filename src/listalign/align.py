@@ -213,9 +213,9 @@ def adam_step(param_groups, grads, state: AdamState, hyper: AdamHyper, step_inde
 
 @dataclass(frozen=True)
 class TrainStage:
-    epochs: int
-    lr: float
-    unfreeze_text_layers: tuple = ()
+    epochs: int = 1
+    lr: float = 1e-3
+    unfreeze_text_layers: tuple[int, ...] = ()
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -226,14 +226,14 @@ class TrainStage:
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    stages: tuple = ()
+    stages: tuple[TrainStage, ...] = ()
     batch_size: int = 64
     seed: int = 0
     warmup_steps: int = 0
     cosine_horizon: int | None = None  # None: total optimizer steps
     adam: AdamHyper = field(default_factory=AdamHyper)
     grad_accum: int = 1
-    eval_ks: tuple = (1, 5, 10)
+    eval_ks: tuple[int, ...] = (1, 5, 10)
 
     def validate(self) -> None:
         for stage in self.stages:

@@ -395,13 +395,6 @@ def pca_codec_decode(codec: PcaCodec, block: CodeBlock) -> np.ndarray:
 
 Codec = PqCodebook | OpqCodec | ScalarQuantizer | PcaCodec
 
-_KIND_OF = {PqCodebook: "pq", OpqCodec: "opq", ScalarQuantizer: "scalar", PcaCodec: "pca"}
-
-
-def codec_kind(codec: Codec) -> str:
-    return _KIND_OF[type(codec)]
-
-
 def train_codec(kind: str, x, **kwargs) -> Codec:
     """Train a codec by kind name: pq, opq, scalar, or pca."""
     if kind == "pq":

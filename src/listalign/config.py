@@ -11,7 +11,8 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .align import AdamHyper, LossConfig, TrainSchedule, TrainStage
+from ._schema import load_json, parse_dataclass
+from .align import LossConfig, TrainSchedule, TrainStage
 from .errors import ConfigError
 from .model import SetEncoderConfig, TextTowerConfig
 from .synth import GeneratorConfig
@@ -20,6 +21,7 @@ __all__ = [
     "FilterSettings",
     "SplitSettings",
     "SetEncoderSettings",
+    "TextTowerSettings",
     "CodecSettings",
     "PipelineConfig",
     "load_pipeline_config",
@@ -49,6 +51,11 @@ class SetEncoderSettings:
     n_heads: int = 4
     d_out: int = 64
     pool: str = "last"
+
+
+@dataclass(frozen=True)
+class TextTowerSettings:
+    hidden: tuple[int, ...] = (48, 48)
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,7 @@ class PipelineConfig:
     filters: FilterSettings = field(default_factory=FilterSettings)
     split: SplitSettings = field(default_factory=SplitSettings)
     set_encoder: SetEncoderSettings = field(default_factory=SetEncoderSettings)
-    text_hidden: tuple = (48, 48)
+    text_tower: TextTowerSettings = field(default_factory=TextTowerSettings)
     loss: LossConfig = field(default_factory=LossConfig)
     schedule: TrainSchedule = field(
         default_factory=lambda: TrainSchedule(
@@ -104,6 +111,10 @@ class PipelineConfig:
     )
     codec: CodecSettings = field(default_factory=CodecSettings)
     init_seed: int = 0
+
+    @property
+    def text_hidden(self) -> tuple[int, ...]:
+        return self.text_tower.hidden
 
     def set_encoder_config(self) -> SetEncoderConfig:
         s = self.set_encoder
@@ -134,257 +145,19 @@ class PipelineConfig:
         self.codec.train_kwargs()  # validates codec.kind
 
 
-# ---------------------------------------------------------------------------
-# strict parsing
-# ---------------------------------------------------------------------------
-
-def _require_object(raw, path: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path or 'config'} must be a JSON object")
-    return raw
-
-
-def _check_keys(raw: dict, allowed, path: str) -> None:
-    for key in raw:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key: {where}")
-
-
-def _pick(raw: dict, key: str, default, path: str, kinds, kind_name: str):
-    if key not in raw:
-        return default
-    value = raw[key]
-    if kinds is bool:
-        ok = isinstance(value, bool)
-    else:
-        ok = isinstance(value, kinds) and not isinstance(value, bool)
-    if not ok:
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(f"config key {where} must be a {kind_name}")
-    return value
-
-
-def _int(raw, key, default, path):
-    return int(_pick(raw, key, default, path, int, "integer"))
-
-
-def _num(raw, key, default, path):
-    return float(_pick(raw, key, default, path, (int, float), "number"))
-
-
-def _str(raw, key, default, path):
-    return _pick(raw, key, default, path, str, "string")
-
-
-def _bool(raw, key, default, path):
-    return _pick(raw, key, default, path, bool, "boolean")
-
-
-def _int_list(raw, key, default, path):
-    if key not in raw:
-        return tuple(default)
-    value = raw[key]
-    where = f"{path}.{key}" if path else key
-    if not isinstance(value, list) or any(
-        not isinstance(v, int) or isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(f"config key {where} must be a list of integers")
-    return tuple(value)
-
-
-def _parse_generator(raw: dict, dflt: GeneratorConfig) -> GeneratorConfig:
-    p = "generator"
-    _check_keys(raw, {f.name for f in dataclasses.fields(GeneratorConfig)}, p)
-    return GeneratorConfig(
-        n_listings=_int(raw, "n_listings", dflt.n_listings, p),
-        d_latent=_int(raw, "d_latent", dflt.d_latent, p),
-        d_photo=_int(raw, "d_photo", dflt.d_photo, p),
-        d_text=_int(raw, "d_text", dflt.d_text, p),
-        p_max=_int(raw, "p_max", dflt.p_max, p),
-        photo_noise=_num(raw, "photo_noise", dflt.photo_noise, p),
-        text_noise=_num(raw, "text_noise", dflt.text_noise, p),
-        aspect_count=_int(raw, "aspect_count", dflt.aspect_count, p),
-        seed=_int(raw, "seed", dflt.seed, p),
-    )
-
-
-def _parse_schedule(raw: dict, dflt: TrainSchedule) -> TrainSchedule:
-    p = "schedule"
-    _check_keys(
-        raw,
-        {"stages", "batch_size", "seed", "warmup_steps", "cosine_horizon", "adam", "grad_accum", "eval_ks"},
-        p,
-    )
-    stages = dflt.stages
-    if "stages" in raw:
-        if not isinstance(raw["stages"], list):
-            raise ConfigError("config key schedule.stages must be a list")
-        parsed = []
-        for i, entry in enumerate(raw["stages"]):
-            sp = f"{p}.stages[{i}]"
-            entry = _require_object(entry, sp)
-            _check_keys(entry, {"epochs", "lr", "unfreeze_text_layers"}, sp)
-            parsed.append(
-                TrainStage(
-                    epochs=_int(entry, "epochs", 1, sp),
-                    lr=_num(entry, "lr", 1e-3, sp),
-                    unfreeze_text_layers=_int_list(entry, "unfreeze_text_layers", (), sp),
-                )
-            )
-        stages = tuple(parsed)
-    adam = dflt.adam
-    if "adam" in raw:
-        ap = f"{p}.adam"
-        araw = _require_object(raw["adam"], ap)
-        _check_keys(araw, {"beta1", "beta2", "eps", "weight_decay"}, ap)
-        adam = AdamHyper(
-            beta1=_num(araw, "beta1", adam.beta1, ap),
-            beta2=_num(araw, "beta2", adam.beta2, ap),
-            eps=_num(araw, "eps", adam.eps, ap),
-            weight_decay=_num(araw, "weight_decay", adam.weight_decay, ap),
-        )
-    horizon = dflt.cosine_horizon
-    if "cosine_horizon" in raw:
-        horizon = None if raw["cosine_horizon"] is None else _int(raw, "cosine_horizon", 0, p)
-    return TrainSchedule(
-        stages=stages,
-        batch_size=_int(raw, "batch_size", dflt.batch_size, p),
-        seed=_int(raw, "seed", dflt.seed, p),
-        warmup_steps=_int(raw, "warmup_steps", dflt.warmup_steps, p),
-        cosine_horizon=horizon,
-        adam=adam,
-        grad_accum=_int(raw, "grad_accum", dflt.grad_accum, p),
-        eval_ks=_int_list(raw, "eval_ks", dflt.eval_ks, p),
-    )
-
-
 def parse_pipeline_config(raw: dict) -> PipelineConfig:
     """Build a validated PipelineConfig from a parsed JSON object."""
-    raw = _require_object(raw, "")
-    _check_keys(
-        raw,
-        {"generator", "filters", "split", "set_encoder", "text_tower", "loss", "schedule", "codec", "init_seed"},
-        "",
-    )
-    dflt = PipelineConfig()
-
-    generator = dflt.generator
-    if "generator" in raw:
-        generator = _parse_generator(_require_object(raw["generator"], "generator"), dflt.generator)
-
-    filters = dflt.filters
-    if "filters" in raw:
-        p = "filters"
-        fraw = _require_object(raw[p], p)
-        _check_keys(fraw, {"min_photos", "min_text_len", "alignment_threshold", "use_alignment"}, p)
-        filters = FilterSettings(
-            min_photos=_int(fraw, "min_photos", filters.min_photos, p),
-            min_text_len=_int(fraw, "min_text_len", filters.min_text_len, p),
-            alignment_threshold=_num(fraw, "alignment_threshold", filters.alignment_threshold, p),
-            use_alignment=_bool(fraw, "use_alignment", filters.use_alignment, p),
-        )
-
-    split = dflt.split
-    if "split" in raw:
-        p = "split"
-        sraw = _require_object(raw[p], p)
-        _check_keys(sraw, {"holdout_fraction", "seed"}, p)
-        split = SplitSettings(
-            holdout_fraction=_num(sraw, "holdout_fraction", split.holdout_fraction, p),
-            seed=_int(sraw, "seed", split.seed, p),
-        )
-
-    enc = dflt.set_encoder
-    if "set_encoder" in raw:
-        p = "set_encoder"
-        eraw = _require_object(raw[p], p)
-        _check_keys(eraw, {"d_model", "n_layers", "n_heads", "d_out", "pool"}, p)
-        enc = SetEncoderSettings(
-            d_model=_int(eraw, "d_model", enc.d_model, p),
-            n_layers=_int(eraw, "n_layers", enc.n_layers, p),
-            n_heads=_int(eraw, "n_heads", enc.n_heads, p),
-            d_out=_int(eraw, "d_out", enc.d_out, p),
-            pool=_str(eraw, "pool", enc.pool, p),
-        )
-
-    text_hidden = dflt.text_hidden
-    if "text_tower" in raw:
-        p = "text_tower"
-        traw = _require_object(raw[p], p)
-        _check_keys(traw, {"hidden"}, p)
-        text_hidden = _int_list(traw, "hidden", text_hidden, p)
-
-    loss = dflt.loss
-    if "loss" in raw:
-        p = "loss"
-        lraw = _require_object(raw[p], p)
-        _check_keys(lraw, {"kind", "init_inv_temp", "init_t", "init_b"}, p)
-        loss = LossConfig(
-            kind=_str(lraw, "kind", loss.kind, p),
-            init_inv_temp=_num(lraw, "init_inv_temp", loss.init_inv_temp, p),
-            init_t=_num(lraw, "init_t", loss.init_t, p),
-            init_b=_num(lraw, "init_b", loss.init_b, p),
-        )
-
-    schedule = dflt.schedule
-    if "schedule" in raw:
-        schedule = _parse_schedule(_require_object(raw["schedule"], "schedule"), dflt.schedule)
-
-    codec = dflt.codec
-    if "codec" in raw:
-        p = "codec"
-        craw = _require_object(raw[p], p)
-        _check_keys(
-            craw,
-            {"kind", "m", "k", "rotated_dim", "outer_iters", "kmeans_iters", "iters", "seed", "out_dim"},
-            p,
-        )
-        rotated = codec.rotated_dim
-        if "rotated_dim" in craw:
-            rotated = None if craw["rotated_dim"] is None else _int(craw, "rotated_dim", 0, p)
-        codec = CodecSettings(
-            kind=_str(craw, "kind", codec.kind, p),
-            m=_int(craw, "m", codec.m, p),
-            k=_int(craw, "k", codec.k, p),
-            rotated_dim=rotated,
-            outer_iters=_int(craw, "outer_iters", codec.outer_iters, p),
-            kmeans_iters=_int(craw, "kmeans_iters", codec.kmeans_iters, p),
-            iters=_int(craw, "iters", codec.iters, p),
-            seed=_int(craw, "seed", codec.seed, p),
-            out_dim=_int(craw, "out_dim", codec.out_dim, p),
-        )
-
-    pc = PipelineConfig(
-        generator=generator,
-        filters=filters,
-        split=split,
-        set_encoder=enc,
-        text_hidden=text_hidden,
-        loss=loss,
-        schedule=schedule,
-        codec=codec,
-        init_seed=_int(raw, "init_seed", dflt.init_seed, ""),
-    )
+    pc = parse_dataclass(PipelineConfig, raw, base=PipelineConfig())
     pc.validate()
     return pc
 
 
 def load_pipeline_config(path: str) -> PipelineConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}")
-    return parse_pipeline_config(raw)
+    return parse_pipeline_config(load_json(path))
 
 
 def resolved_dict(pc: PipelineConfig) -> dict:
     """The fully resolved configuration, shaped so it reloads through
     parse_pipeline_config unchanged."""
-    raw = dataclasses.asdict(pc)
-    raw["text_tower"] = {"hidden": list(raw.pop("text_hidden"))}
     # normalize tuples to lists, exactly as the JSON file will hold them
-    return json.loads(json.dumps(raw))
+    return json.loads(json.dumps(dataclasses.asdict(pc)))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fileio import atomic_write_text
+from ._schema import load_json, parse_dataclass
 from .codec import load_embeddings, save_embeddings
 from .errors import ConfigError, DegenerateInput
 from .linalg import as_matrix
@@ -344,5 +345,12 @@ def load_dataset(directory: str) -> list[ListingRecord]:
 
 
 def load_generator_config(directory: str) -> GeneratorConfig:
-    with open(os.path.join(directory, CONFIG_FILE), "r", encoding="utf-8") as fh:
-        return GeneratorConfig(**json.load(fh))
+    """Read a dataset's generator.json as strictly as a pipeline config."""
+    path = os.path.join(directory, CONFIG_FILE)
+    raw = load_json(path)
+    try:
+        config = parse_dataclass(GeneratorConfig, raw, "generator")
+        config.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return config

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,9 @@ import numpy as np
 import pytest
 
 import listalign
-from listalign import codec as codecmod, config as configmod
+from listalign import codec as codecmod, config as configmod, synth
 from listalign.cli import main
+from listalign.errors import ConfigError
 
 TINY_CONFIG = {
     "generator": {
@@ -206,6 +209,62 @@ def test_unknown_config_key_exits_2_with_path(tmp_path, capsys):
     bad.write_text(json.dumps({"schedule": {"warmup_stpes": 3}}))
     assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "x"), "--quiet"]) == 2
     assert "schedule.warmup_stpes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["gen", "train"])
+@pytest.mark.parametrize(
+    "override, where",
+    [
+        ({"generator": {"photo_noise": float("nan")}}, "generator.photo_noise"),
+        ({"schedule": {"stages": [{"epochs": 1, "lr": float("nan")}]}}, "schedule.stages[0].lr"),
+    ],
+)
+def test_non_finite_config_number_exits_2(workspace, tmp_path, capsys, stage, override, where):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({**TINY_CONFIG, **override}))  # json writes a bare NaN
+    out = tmp_path / "out"
+    data = ["--data", str(workspace["data"])] if stage == "train" else []
+    assert main([stage, "--config", str(bad), *data, "--out", str(out), "--quiet"]) == 2
+    assert f"config key {where} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (lambda cfg: json.dumps({**cfg, "bogus": 1}), "unknown config key: generator.bogus"),
+        (lambda cfg: json.dumps({**cfg, "p_max": "4"}), "generator.p_max must be an integer"),
+        (lambda cfg: json.dumps({**cfg, "text_noise": float("inf")}), "generator.text_noise"),
+        (lambda cfg: json.dumps({**cfg, "p_max": 0}), "generator: p_max must be >= 1"),
+        (
+            lambda cfg: json.dumps({k: v for k, v in cfg.items() if k != "n_listings"}),
+            "missing config key: generator.n_listings",
+        ),
+        (lambda cfg: json.dumps([cfg]), "generator must be a JSON object"),
+        (lambda cfg: "{not json", "invalid JSON"),
+    ],
+    ids=[
+        "unknown-key", "wrong-type", "non-finite", "invalid-value",
+        "missing-key", "non-object", "invalid-json",
+    ],
+)
+def test_malformed_generator_json_exits_2(workspace, tmp_path, capsys, text, message):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    gen_json = data / "train" / synth.CONFIG_FILE
+    gen_json.write_text(text(json.loads(gen_json.read_text())))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        synth.load_generator_config(str(data / "train"))
+    model = str(workspace["run"] / "checkpoint.blm")
+    for argv in (
+        ["train", "--config", str(workspace["config"]), "--out", str(tmp_path / "run")],
+        ["eval", "--model", model, "--out", str(tmp_path / "report.json")],
+    ):
+        capsys.readouterr()
+        assert main([*argv, "--data", str(data), "--quiet"]) == 2, argv[0]
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_train_batch_larger_than_dataset_exits_2(workspace, tmp_path):
