@@ -25,22 +25,22 @@ x = np.hstack(pieces) @ np.linalg.qr(rng.normal(size=(d, d)))[0]
 print(f"table: {n} vectors, {d} dims, {x.nbytes} bytes as float64")
 print()
 
-for kind, kwargs in [
-    ("pq", dict(m=4, k=16, iters=20, seed=5)),
-    ("opq", dict(m=4, k=16, outer_iters=10, kmeans_iters=20, seed=5)),
-    ("scalar", dict()),
-    ("pca", dict(out_dim=8)),
-]:
-    trained = codec.train_codec(kind, x, **kwargs)
-    block = codec.encode(trained, x)
-    report = codec.compression_report(x, codec.decode(trained, block))
+settings = {
+    "pq": codec.CodecSettings("pq", m=4, k=16, iters=20, seed=5),
+    "opq": codec.CodecSettings("opq", m=4, k=16, outer_iters=10, kmeans_iters=20, seed=5),
+    "scalar": codec.CodecSettings("scalar"),
+    "pca": codec.CodecSettings("pca", out_dim=8),
+}
+trained = {kind: codec.train_codec(s, x) for kind, s in settings.items()}
+for kind, c in trained.items():
+    block = codec.encode(c, x)
+    report = codec.compression_report(x, codec.decode(c, block))
     p50 = report.values[report.levels.index(0.50)]
     print(f"{kind:6s}  {block.bytes_per_vector:3d} bytes/vector"
           f"  p50 err {p50:7.4f}  mean rel err {report.mean_relative_error:.4f}")
 
 # The headline comparison: same budget, same seed, rotation on vs off.
-pq = codec.train_codec("pq", x, m=4, k=16, iters=20, seed=5)
-opq = codec.train_codec("opq", x, m=4, k=16, outer_iters=10, kmeans_iters=20, seed=5)
+pq, opq = trained["pq"], trained["opq"]
 rep_pq = codec.compression_report(x, codec.decode(pq, codec.encode(pq, x)))
 rep_opq = codec.compression_report(x, codec.decode(opq, codec.encode(opq, x)))
 print()

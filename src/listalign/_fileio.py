@@ -2,14 +2,20 @@
 
 All multi-byte fields are little-endian. Writes are atomic: the payload goes to a
 temporary file in the destination directory which is then renamed over the target,
-so a crash never leaves a half-written artifact behind.
+so a crash never leaves a half-written artifact behind. Float arrays are float32 on
+disk and float64 in memory.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
+
+import numpy as np
+
+from .errors import CorruptFile
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -31,12 +37,6 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def read_magic(buf: bytes, expected: bytes, path: str) -> None:
-    """Check the 8-byte magic at the start of buf."""
-    if len(buf) < 8 or buf[:8] != expected:
-        raise ValueError(f"{path}: bad magic, expected {expected!r}")
-
-
 def pack_u8(value: int) -> bytes:
     return struct.pack("<B", value)
 
@@ -49,31 +49,42 @@ def pack_u64(value: int) -> bytes:
     return struct.pack("<Q", value)
 
 
-class Reader:
-    """Cursor over a bytes buffer with little-endian scalar reads."""
+def pack_f32(a) -> bytes:
+    """Little-endian float32 bytes of a's float64 values, in C order."""
+    return np.ascontiguousarray(np.asarray(a, dtype=np.float64), dtype="<f4").tobytes()
 
-    def __init__(self, buf: bytes, offset: int = 0):
-        self.buf = buf
-        self.off = offset
+
+class Reader:
+    """Cursor over a container file, positioned after its 8-byte magic.
+
+    A wrong magic or a read past the end of the file raises CorruptFile.
+    """
+
+    def __init__(self, path: str, magic: bytes):
+        with open(path, "rb") as fh:
+            self.buf = fh.read()
+        if self.buf[:8] != magic:
+            raise CorruptFile(f"{path}: bad magic, expected {magic!r}")
+        self.path = path
+        self.off = 8
 
     def u8(self) -> int:
-        (v,) = struct.unpack_from("<B", self.buf, self.off)
-        self.off += 1
-        return v
+        return self.raw(1)[0]
 
     def u32(self) -> int:
-        (v,) = struct.unpack_from("<I", self.buf, self.off)
-        self.off += 4
-        return v
+        return int.from_bytes(self.raw(4), "little")
 
     def u64(self) -> int:
-        (v,) = struct.unpack_from("<Q", self.buf, self.off)
-        self.off += 8
-        return v
+        return int.from_bytes(self.raw(8), "little")
 
     def raw(self, n: int) -> bytes:
         chunk = self.buf[self.off : self.off + n]
         if len(chunk) != n:
-            raise ValueError("truncated file")
+            raise CorruptFile(f"{self.path}: truncated file")
         self.off += n
         return chunk
+
+    def f32(self, shape) -> np.ndarray:
+        """A float32 array of the given shape, widened to float64."""
+        chunk = self.raw(4 * math.prod(shape))
+        return np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)

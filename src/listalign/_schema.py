@@ -23,12 +23,14 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", boo
 
 
 def load_json(path: str):
-    """Read one JSON document, with a missing file or bad JSON as ConfigError."""
+    """Read one JSON document, with an unreadable file or bad JSON as ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, no permission, a read error
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 

@@ -1,10 +1,11 @@
 """Command-line pipeline: gen, train, quantize, eval, search, report.
 
 Exit codes by failure domain: 0 success, 2 configuration or input-path
-problems, 3 training failures, 4 codec failures, 5 evaluation failures,
-6 search failures (including unknown listing ids). Artifacts are written
-atomically and contain no timestamps, so a rerun with the same inputs
-produces byte-identical files.
+problems (including a corrupt or truncated input file), 3 training failures,
+4 codec failures, 5 evaluation failures, 6 search failures (including unknown
+listing ids and an unreadable --model). Artifacts are written atomically and
+contain no timestamps, so a rerun with the same inputs produces byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import align, codec as codecmod, eval as evalmod, model as modelmod, synth
 from ._fileio import atomic_write_text
 from .config import PipelineConfig, load_pipeline_config, resolved_dict
-from .errors import ConfigError, ListalignError, UnknownId
+from .errors import ConfigError, CorruptFile, ListalignError, UnknownId
 
 __all__ = ["main"]
 
@@ -43,8 +44,8 @@ def _load_split_dirs(data_dir: str):
         train = synth.load_dataset(train_dir)
         holdout = synth.load_dataset(holdout_dir)
         gcfg = synth.load_generator_config(train_dir)
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        raise ConfigError(f"dataset not found under {data_dir}: {exc}")
+    except (FileNotFoundError, NotADirectoryError, CorruptFile) as exc:
+        raise ConfigError(f"cannot read dataset under {data_dir}: {exc}")
     return train, holdout, gcfg
 
 
@@ -182,10 +183,10 @@ def cmd_quantize(args) -> int:
         settings = dataclasses.replace(settings, seed=args.seed)
     try:
         x = codecmod.load_embeddings(args.emb)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"embeddings not found: {exc}")
+    except (FileNotFoundError, CorruptFile) as exc:
+        raise ConfigError(f"cannot read embeddings: {exc}")
     try:
-        trained = codecmod.train_codec(settings.kind, x, **settings.train_kwargs())
+        trained = codecmod.train_codec(settings, x)
         block = codecmod.encode(trained, x)
         x_hat = codecmod.decode(trained, block)
         report = codecmod.compression_report(x, x_hat)
@@ -229,8 +230,8 @@ def cmd_eval(args) -> int:
     train_recs, holdout_recs, _ = _load_split_dirs(args.data)
     try:
         ps, te, _extra = modelmod.load_checkpoint(args.model)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"checkpoint not found: {exc}")
+    except (FileNotFoundError, CorruptFile) as exc:
+        raise ConfigError(f"cannot read checkpoint: {exc}")
 
     everything = train_recs + holdout_recs
     n = len(everything)
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantize", help="fit a codec to an embedding file")
     _add_common(p)
     p.add_argument("--emb", required=True, help="embedding file to compress")
-    p.add_argument("--kind", choices=("pq", "opq", "scalar", "pca"), help="codec family")
+    p.add_argument("--kind", choices=tuple(codecmod.KINDS), help="codec family")
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("eval", help="retrieval metrics, probes, and sweeps")

@@ -12,10 +12,14 @@ bit-identical to encoding before it.
 
 File formats (little-endian):
 
-    codec file      magic "BLCODEC1", kind u8 (0=PQ 1=OPQ 2=SCALAR 3=PCA),
-                    kind-specific u32 dims, float32 parameter payload
+    codec file      magic "BLCODEC1", kind u8, kind-specific u32 dims,
+                    float32 parameter payload
     embedding file  magic "BLEMB001", n u64, d u32, dtype u8 (0=f32 1=u8),
                     row-major payload
+
+The kind byte is the kind's position in KINDS: 0 pq, 1 opq, 2 scalar, 3 pca.
+New kinds are appended and existing ones never reordered, so old files keep
+loading.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fileio import Reader, atomic_write_bytes, pack_u8, pack_u32, pack_u64, read_magic
-from .errors import DegenerateInput, ShapeMismatch
+from ._fileio import Reader, atomic_write_bytes, pack_f32, pack_u8, pack_u32, pack_u64
+from .errors import ConfigError, CorruptFile, DegenerateInput, ShapeMismatch
 from .linalg import (
     PcaModel,
+    _sq_dists,
     as_matrix,
     kmeans_fit,  # noqa: F401  unused here; perfbench/tracing.py patches codec.kmeans_fit
     kmeans_pp_seeds,
@@ -55,6 +60,8 @@ __all__ = [
     "pca_codec_train",
     "pca_codec_encode",
     "pca_codec_decode",
+    "CodecSettings",
+    "KINDS",
     "train_codec",
     "encode",
     "decode",
@@ -69,8 +76,6 @@ __all__ = [
 
 CODEC_MAGIC = b"BLCODEC1"
 EMB_MAGIC = b"BLEMB001"
-
-KIND_PQ, KIND_OPQ, KIND_SCALAR, KIND_PCA = 0, 1, 2, 3
 
 DEFAULT_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.90, 0.99)
 
@@ -120,6 +125,20 @@ class PqCodebook:
     def padded_dim(self) -> int:
         return self.m * self.sub_dim
 
+    def encode(self, x) -> CodeBlock:
+        return pq_encode(self, x)
+
+    def decode(self, block: CodeBlock) -> np.ndarray:
+        return pq_decode(self, block)
+
+    def layout(self):
+        return (self.dim, self.m, self.k, self.sub_dim), (self.codebooks,)
+
+    @classmethod
+    def read(cls, r: Reader) -> PqCodebook:
+        dim, m, k, sub_dim = (r.u32() for _ in range(4))
+        return cls(dim, m, k, sub_dim, r.f32((m, k, sub_dim)))
+
 
 def _pad_columns(x: np.ndarray, width: int) -> np.ndarray:
     if x.shape[1] == width:
@@ -168,12 +187,7 @@ def _pq_encode_padded(cb: PqCodebook, xp: np.ndarray) -> np.ndarray:
     codes = np.empty((n, cb.m), dtype=np.uint8)
     for j in range(cb.m):
         sl = xp[:, j * cb.sub_dim : (j + 1) * cb.sub_dim]
-        c = cb.codebooks[j]
-        d2 = (
-            np.sum(sl * sl, axis=1)[:, None]
-            - 2.0 * (sl @ c.T)
-            + np.sum(c * c, axis=1)[None, :]
-        )
+        d2 = _sq_dists(sl, cb.codebooks[j], np.sum(sl * sl, axis=1))
         codes[:, j] = np.argmin(d2, axis=1)  # ties: lowest centroid index
     return codes
 
@@ -218,6 +232,24 @@ class OpqCodec:
     rotation: np.ndarray  # (rotated_dim, rotated_dim)
     pq: PqCodebook
     objective_history: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def encode(self, x) -> CodeBlock:
+        return opq_encode(self, x)
+
+    def decode(self, block: CodeBlock) -> np.ndarray:
+        return opq_decode(self, block)
+
+    def layout(self):
+        pq = self.pq
+        header = (self.input_dim, self.rotated_dim, pq.m, pq.k, pq.sub_dim)
+        return header, (self.rotation, pq.codebooks)
+
+    @classmethod
+    def read(cls, r: Reader) -> OpqCodec:
+        input_dim, rotated_dim, m, k, sub_dim = (r.u32() for _ in range(5))
+        rotation = r.f32((rotated_dim, rotated_dim))
+        pq = PqCodebook(rotated_dim, m, k, sub_dim, r.f32((m, k, sub_dim)))
+        return cls(input_dim, rotated_dim, rotation, pq)
 
 
 def _reconstruct(cb: PqCodebook, xr: np.ndarray) -> np.ndarray:
@@ -315,6 +347,20 @@ class ScalarQuantizer:
     def dim(self) -> int:
         return self.mins.shape[0]
 
+    def encode(self, x) -> CodeBlock:
+        return scalar_encode(self, x)
+
+    def decode(self, block: CodeBlock) -> np.ndarray:
+        return scalar_decode(self, block)
+
+    def layout(self):
+        return (self.dim,), (self.mins, self.scales)
+
+    @classmethod
+    def read(cls, r: Reader) -> ScalarQuantizer:
+        dim = r.u32()
+        return cls(r.f32((dim,)), r.f32((dim,)))
+
 
 def scalar_train(x) -> ScalarQuantizer:
     """Fit per-dimension min/scale from the data range.
@@ -361,6 +407,23 @@ class PcaCodec:
     pca: PcaModel
     quantizer: ScalarQuantizer
 
+    def encode(self, x) -> CodeBlock:
+        return pca_codec_encode(self, x)
+
+    def decode(self, block: CodeBlock) -> np.ndarray:
+        return pca_codec_decode(self, block)
+
+    def layout(self):
+        pca, q = self.pca, self.quantizer
+        arrays = (pca.mean, pca.components, pca.explained_variance, q.mins, q.scales)
+        return (self.input_dim, self.out_dim), arrays
+
+    @classmethod
+    def read(cls, r: Reader) -> PcaCodec:
+        input_dim, out_dim = r.u32(), r.u32()
+        pca = PcaModel(r.f32((input_dim,)), r.f32((out_dim, input_dim)), r.f32((out_dim,)))
+        return cls(input_dim, out_dim, pca, ScalarQuantizer(r.f32((out_dim,)), r.f32((out_dim,))))
+
 
 def pca_codec_train(x, out_dim: int) -> PcaCodec:
     x = as_matrix(x)
@@ -395,37 +458,56 @@ def pca_codec_decode(codec: PcaCodec, block: CodeBlock) -> np.ndarray:
 
 Codec = PqCodebook | OpqCodec | ScalarQuantizer | PcaCodec
 
-def train_codec(kind: str, x, **kwargs) -> Codec:
-    """Train a codec by kind name: pq, opq, scalar, or pca."""
-    if kind == "pq":
-        return pq_train(x, **kwargs)
-    if kind == "opq":
-        return opq_train(x, **kwargs)
-    if kind == "scalar":
-        return scalar_train(x)
-    if kind == "pca":
-        return pca_codec_train(x, **kwargs)
-    raise DegenerateInput(f"unknown codec kind {kind!r}")
+# Kind name -> (codec class, trainer reading CodecSettings). A kind's position
+# is its BLCODEC1 tag byte: append new kinds, never reorder. The trainers look
+# the *_train functions up when called, so rebinding those module attributes
+# (as perfbench/tracing.py does) reaches them.
+KINDS = {
+    "pq": (PqCodebook, lambda s, x: pq_train(x, s.m, s.k, iters=s.iters, seed=s.seed)),
+    "opq": (
+        OpqCodec,
+        lambda s, x: opq_train(
+            x, s.m, s.k, rotated_dim=s.rotated_dim, outer_iters=s.outer_iters,
+            seed=s.seed, kmeans_iters=s.kmeans_iters,
+        ),
+    ),
+    "scalar": (ScalarQuantizer, lambda s, x: scalar_train(x)),
+    "pca": (PcaCodec, lambda s, x: pca_codec_train(x, s.out_dim)),
+}
+_CLASSES = [cls for cls, _ in KINDS.values()]  # indexed by tag byte
+
+
+@dataclass(frozen=True)
+class CodecSettings:
+    """The codec section of the pipeline config; each kind reads its own fields."""
+
+    kind: str = "opq"
+    m: int = 4
+    k: int = 256
+    rotated_dim: int | None = None
+    outer_iters: int = 10
+    kmeans_iters: int = 25
+    iters: int = 25
+    seed: int = 0
+    out_dim: int = 40
+
+    def validate(self) -> None:
+        if self.kind not in KINDS:
+            raise ConfigError(f"codec.kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
+
+
+def train_codec(settings: CodecSettings, x) -> Codec:
+    """Train a codec of settings.kind on the rows of x."""
+    settings.validate()
+    return KINDS[settings.kind][1](settings, x)
 
 
 def encode(codec: Codec, x) -> CodeBlock:
-    if isinstance(codec, PqCodebook):
-        return pq_encode(codec, x)
-    if isinstance(codec, OpqCodec):
-        return opq_encode(codec, x)
-    if isinstance(codec, ScalarQuantizer):
-        return scalar_encode(codec, x)
-    return pca_codec_encode(codec, x)
+    return codec.encode(x)
 
 
 def decode(codec: Codec, block: CodeBlock) -> np.ndarray:
-    if isinstance(codec, PqCodebook):
-        return pq_decode(codec, block)
-    if isinstance(codec, OpqCodec):
-        return opq_decode(codec, block)
-    if isinstance(codec, ScalarQuantizer):
-        return scalar_decode(codec, block)
-    return pca_codec_decode(codec, block)
+    return codec.decode(block)
 
 
 # ---------------------------------------------------------------------------
@@ -484,81 +566,20 @@ def error_reduction(base: CompressionReport, improved: CompressionReport) -> np.
 # persistence
 # ---------------------------------------------------------------------------
 
-def _f32_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f4").tobytes()
-
-
-def _read_f32(r: Reader, count: int, shape) -> np.ndarray:
-    arr = np.frombuffer(r.raw(4 * count), dtype="<f4").astype(np.float64)
-    return arr.reshape(shape)
-
-
 def save_codec(path: str, codec: Codec) -> None:
     """Serialize any codec to the BLCODEC1 container."""
-    parts = [CODEC_MAGIC]
-    if isinstance(codec, PqCodebook):
-        parts.append(pack_u8(KIND_PQ))
-        for v in (codec.dim, codec.m, codec.k, codec.sub_dim):
-            parts.append(pack_u32(v))
-        parts.append(_f32_bytes(codec.codebooks))
-    elif isinstance(codec, OpqCodec):
-        parts.append(pack_u8(KIND_OPQ))
-        for v in (codec.input_dim, codec.rotated_dim, codec.pq.m, codec.pq.k, codec.pq.sub_dim):
-            parts.append(pack_u32(v))
-        parts.append(_f32_bytes(codec.rotation))
-        parts.append(_f32_bytes(codec.pq.codebooks))
-    elif isinstance(codec, ScalarQuantizer):
-        parts.append(pack_u8(KIND_SCALAR))
-        parts.append(pack_u32(codec.dim))
-        parts.append(_f32_bytes(codec.mins))
-        parts.append(_f32_bytes(codec.scales))
-    elif isinstance(codec, PcaCodec):
-        parts.append(pack_u8(KIND_PCA))
-        parts.append(pack_u32(codec.input_dim))
-        parts.append(pack_u32(codec.out_dim))
-        parts.append(_f32_bytes(codec.pca.mean))
-        parts.append(_f32_bytes(codec.pca.components))
-        parts.append(_f32_bytes(codec.pca.explained_variance))
-        parts.append(_f32_bytes(codec.quantizer.mins))
-        parts.append(_f32_bytes(codec.quantizer.scales))
-    else:
-        raise DegenerateInput(f"save_codec: unsupported codec type {type(codec).__name__}")
+    header, arrays = codec.layout()
+    parts = [CODEC_MAGIC, pack_u8(_CLASSES.index(type(codec)))]
+    parts += [pack_u32(v) for v in header] + [pack_f32(a) for a in arrays]
     atomic_write_bytes(path, b"".join(parts))
 
 
 def load_codec(path: str) -> Codec:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    read_magic(buf, CODEC_MAGIC, path)
-    r = Reader(buf, 8)
-    kind = r.u8()
-    if kind == KIND_PQ:
-        dim, m, k, sub_dim = r.u32(), r.u32(), r.u32(), r.u32()
-        books = _read_f32(r, m * k * sub_dim, (m, k, sub_dim))
-        return PqCodebook(dim=dim, m=m, k=k, sub_dim=sub_dim, codebooks=books)
-    if kind == KIND_OPQ:
-        input_dim, rotated_dim, m, k, sub_dim = (r.u32() for _ in range(5))
-        rot = _read_f32(r, rotated_dim * rotated_dim, (rotated_dim, rotated_dim))
-        books = _read_f32(r, m * k * sub_dim, (m, k, sub_dim))
-        pq = PqCodebook(dim=rotated_dim, m=m, k=k, sub_dim=sub_dim, codebooks=books)
-        return OpqCodec(input_dim=input_dim, rotated_dim=rotated_dim, rotation=rot, pq=pq)
-    if kind == KIND_SCALAR:
-        dim = r.u32()
-        return ScalarQuantizer(mins=_read_f32(r, dim, (dim,)), scales=_read_f32(r, dim, (dim,)))
-    if kind == KIND_PCA:
-        input_dim, out_dim = r.u32(), r.u32()
-        mean = _read_f32(r, input_dim, (input_dim,))
-        comps = _read_f32(r, out_dim * input_dim, (out_dim, input_dim))
-        ev = _read_f32(r, out_dim, (out_dim,))
-        mins = _read_f32(r, out_dim, (out_dim,))
-        scales = _read_f32(r, out_dim, (out_dim,))
-        return PcaCodec(
-            input_dim=input_dim,
-            out_dim=out_dim,
-            pca=PcaModel(mean=mean, components=comps, explained_variance=ev),
-            quantizer=ScalarQuantizer(mins=mins, scales=scales),
-        )
-    raise ValueError(f"{path}: unknown codec kind {kind}")
+    r = Reader(path, CODEC_MAGIC)
+    tag = r.u8()
+    if tag >= len(_CLASSES):
+        raise CorruptFile(f"{path}: unknown codec kind {tag}")
+    return _CLASSES[tag].read(r)
 
 
 def save_embeddings(path: str, array: np.ndarray) -> None:
@@ -569,20 +590,17 @@ def save_embeddings(path: str, array: np.ndarray) -> None:
     if arr.dtype == np.uint8:
         dtype_tag, payload = 1, np.ascontiguousarray(arr).tobytes()
     else:
-        dtype_tag, payload = 0, _f32_bytes(np.asarray(arr, dtype=np.float64))
+        dtype_tag, payload = 0, pack_f32(arr)
     header = EMB_MAGIC + pack_u64(arr.shape[0]) + pack_u32(arr.shape[1]) + pack_u8(dtype_tag)
     atomic_write_bytes(path, header + payload)
 
 
 def load_embeddings(path: str) -> np.ndarray:
     """Read a BLEMB001 file: float32 widens to float64, uint8 stays uint8."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    read_magic(buf, EMB_MAGIC, path)
-    r = Reader(buf, 8)
+    r = Reader(path, EMB_MAGIC)
     n, d, dtype_tag = r.u64(), r.u32(), r.u8()
     if dtype_tag == 0:
-        return _read_f32(r, n * d, (n, d))
+        return r.f32((n, d))
     if dtype_tag == 1:
         return np.frombuffer(r.raw(n * d), dtype=np.uint8).reshape(n, d).copy()
-    raise ValueError(f"{path}: unknown embedding dtype tag {dtype_tag}")
+    raise CorruptFile(f"{path}: unknown embedding dtype tag {dtype_tag}")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from ._schema import load_json, parse_dataclass
 from .align import LossConfig, TrainSchedule, TrainStage
+from .codec import CodecSettings
 from .errors import ConfigError
 from .model import SetEncoderConfig, TextTowerConfig
 from .synth import GeneratorConfig
@@ -22,7 +23,6 @@ __all__ = [
     "SplitSettings",
     "SetEncoderSettings",
     "TextTowerSettings",
-    "CodecSettings",
     "PipelineConfig",
     "load_pipeline_config",
     "parse_pipeline_config",
@@ -56,37 +56,6 @@ class SetEncoderSettings:
 @dataclass(frozen=True)
 class TextTowerSettings:
     hidden: tuple[int, ...] = (48, 48)
-
-
-@dataclass(frozen=True)
-class CodecSettings:
-    kind: str = "opq"
-    m: int = 4
-    k: int = 256
-    rotated_dim: int | None = None
-    outer_iters: int = 10
-    kmeans_iters: int = 25
-    iters: int = 25
-    seed: int = 0
-    out_dim: int = 40
-
-    def train_kwargs(self) -> dict:
-        if self.kind == "pq":
-            return {"m": self.m, "k": self.k, "iters": self.iters, "seed": self.seed}
-        if self.kind == "opq":
-            return {
-                "m": self.m,
-                "k": self.k,
-                "rotated_dim": self.rotated_dim,
-                "outer_iters": self.outer_iters,
-                "kmeans_iters": self.kmeans_iters,
-                "seed": self.seed,
-            }
-        if self.kind == "scalar":
-            return {}
-        if self.kind == "pca":
-            return {"out_dim": self.out_dim}
-        raise ConfigError(f"codec.kind must be pq, opq, scalar, or pca, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +111,7 @@ class PipelineConfig:
             raise ConfigError("split.holdout_fraction must lie in (0, 1)")
         if self.filters.min_photos < 0 or self.filters.min_text_len < 0:
             raise ConfigError("filter thresholds must be >= 0")
-        self.codec.train_kwargs()  # validates codec.kind
+        self.codec.validate()
 
 
 def parse_pipeline_config(raw: dict) -> PipelineConfig:

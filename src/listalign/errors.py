@@ -23,3 +23,7 @@ class ConfigError(ListalignError):
 
 class UnknownId(ListalignError):
     """A lookup referenced an id that is not in the dataset."""
+
+
+class CorruptFile(ListalignError, ValueError):
+    """A binary file is truncated or does not follow its container format."""

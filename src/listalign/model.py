@@ -19,12 +19,12 @@ order, little-endian.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from ._fileio import Reader, atomic_write_bytes, pack_u32, read_magic
+from ._fileio import Reader, atomic_write_bytes, pack_f32, pack_u32
 from .autodiff import Tape, Var
 from .errors import ConfigError, DegenerateInput, ShapeMismatch
 
@@ -374,33 +374,19 @@ def save_checkpoint(path: str, ps: SetEncoderParams, te: TextTowerParams, extra=
     """Write both towers (and any extra named scalars) as one BLMODEL1 file."""
     extra = extra or {}
     header = {
-        "set_encoder": {
-            "d_in": ps.config.d_in,
-            "d_model": ps.config.d_model,
-            "n_layers": ps.config.n_layers,
-            "n_heads": ps.config.n_heads,
-            "d_out": ps.config.d_out,
-            "p_max": ps.config.p_max,
-            "pool": ps.config.pool,
-        },
+        "set_encoder": asdict(ps.config),
         "text_tower": {"dims": list(te.config.dims), "frozen": list(te.frozen)},
         "manifest": _manifest(ps) + _manifest(te) + [[k, list(np.shape(v))] for k, v in extra.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = []
-    for _, var in ps.named() + te.named():
-        payload.append(np.ascontiguousarray(var.value, dtype="<f4").tobytes())
-    for _, v in extra.items():
-        payload.append(np.ascontiguousarray(np.asarray(v, dtype=np.float64), dtype="<f4").tobytes())
+    payload = [pack_f32(var.value) for _, var in ps.named() + te.named()]
+    payload += [pack_f32(v) for v in extra.values()]
     atomic_write_bytes(path, CKPT_MAGIC + pack_u32(len(blob)) + blob + b"".join(payload))
 
 
 def load_checkpoint(path: str):
     """Read a checkpoint: (set encoder params, text tower params, extra dict)."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    read_magic(buf, CKPT_MAGIC, path)
-    r = Reader(buf, 8)
+    r = Reader(path, CKPT_MAGIC)
     header = json.loads(r.raw(r.u32()).decode("utf-8"))
     se = header["set_encoder"]
     ps = init_set_encoder(SetEncoderConfig(**se), seed=0)
@@ -408,8 +394,7 @@ def load_checkpoint(path: str):
     known = dict(ps.named() + te.named())
     extra = {}
     for name, shape in header["manifest"]:
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(r.raw(4 * count), dtype="<f4").astype(np.float64).reshape(shape)
+        arr = r.f32(shape)
         if name in known:
             known[name].value = arr
         else:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from listalign import align, eval as evalmod, model, synth
+from listalign.errors import CorruptFile
 
 SEEDS = (0, 1, 2)
 HOLDOUT_FRACTION = 0.1
@@ -25,6 +26,16 @@ GENERATOR = dict(
 )
 ENCODER = dict(d_in=16, d_model=32, n_layers=2, n_heads=4, d_out=64, p_max=8)
 TEXT_DIMS = (16, 48, 48, 64)
+
+
+def assert_every_prefix_corrupt(path, load):
+    """Every strict prefix of the file at path makes load raise CorruptFile."""
+    data = path.read_bytes()
+    cut = path.with_name("cut-" + path.name)
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(CorruptFile):
+            load(str(cut))
 
 
 def standard_dataset(seed):

@@ -284,6 +284,58 @@ def test_quantize_missing_embedding_file_exits_2(workspace, tmp_path):
     ]) == 2
 
 
+def test_quantize_unknown_codec_kind_exits_2(workspace, tmp_path, capsys):
+    cfg_path = tmp_path / "zstd.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, "codec": {"kind": "zstd"}}))
+    out = tmp_path / "q"
+    assert main([
+        "quantize", "--config", str(cfg_path), "--emb", str(workspace["data"] / "train" / "text.emb"),
+        "--out", str(out), "--quiet",
+    ]) == 2
+    assert "pq, opq, scalar, pca" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, flag, src, code", [
+    ("quantize", "--emb", "data/train/photos.emb", 2),
+    ("eval", "--model", "run/checkpoint.blm", 2),
+    ("search", "--model", "run/checkpoint.blm", 6),
+])
+def test_truncated_input_file_exits_without_traceback(workspace, tmp_path, capsys, stage, flag, src, code):
+    cut = tmp_path / "cut"
+    cut.write_bytes((workspace["root"] / src).read_bytes()[:-3])
+    argv = {
+        "quantize": ["--out", str(tmp_path / "q")],
+        "eval": ["--data", str(workspace["data"]), "--out", str(tmp_path / "r.json")],
+        "search": ["--data", str(workspace["data"]), "--query-id", "0"],
+    }[stage]
+    assert main([stage, flag, str(cut), *argv, "--quiet"]) == code
+    out, err = capsys.readouterr()
+    assert "truncated file" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "q").exists() and not (tmp_path / "r.json").exists()
+
+
+def test_truncated_dataset_file_exits_2(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    photos = data / "train" / "photos.emb"
+    photos.write_bytes(photos.read_bytes()[:30])
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--quiet"]) == 2
+    assert "photos.emb: truncated file" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["gen", "--config", str(tmp_path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read config file {tmp_path}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_quantize_infeasible_codebook_exits_4(workspace, tmp_path):
     cfg = json.loads(workspace["config"].read_text())
     cfg["codec"] = {"kind": "pq", "m": 4, "k": 256, "iters": 5}  # k > n rows

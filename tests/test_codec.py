@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listalign import codec
-from listalign.errors import DegenerateInput, ShapeMismatch
+from listalign.errors import ConfigError, CorruptFile, DegenerateInput, ShapeMismatch
 from listalign.linalg import kmeans_fit, kmeans_refine, procrustes
+
+from conftest import assert_every_prefix_corrupt
 
 
 def _f32(a):
@@ -295,19 +297,15 @@ class TestCompressionReport:
 # ---------------------------------------------------------------------------
 
 class TestPersistence:
-    @pytest.mark.parametrize("kind", ["pq", "opq", "scalar", "pca"])
+    @pytest.mark.parametrize("kind", list(codec.KINDS))
     def test_save_load_codes_bit_exact(self, kind, tmp_path):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(300, 16))
         probe = rng.normal(size=(64, 16))
-        if kind == "pq":
-            c = codec.pq_train(x, m=4, k=16, iters=10, seed=0)
-        elif kind == "opq":
-            c = codec.opq_train(x, m=4, k=16, outer_iters=3, seed=0, kmeans_iters=8)
-        elif kind == "scalar":
-            c = codec.scalar_train(x)
-        else:
-            c = codec.pca_codec_train(x, out_dim=8)
+        settings = codec.CodecSettings(
+            kind, m=4, k=16, iters=10, outer_iters=3, kmeans_iters=8, seed=0, out_dim=8
+        )
+        c = codec.train_codec(settings, x)
         path = str(tmp_path / f"{kind}.codec")
         codec.save_codec(path, c)
         loaded = codec.load_codec(path)
@@ -318,6 +316,46 @@ class TestPersistence:
             codec.decode(c, codec.encode(c, probe)),
             codec.decode(loaded, codec.encode(loaded, probe)),
         )
+
+    def test_kind_byte_is_position_in_kinds(self, tmp_path):
+        x = np.random.default_rng(19).normal(size=(100, 8))
+        assert list(codec.KINDS) == ["pq", "opq", "scalar", "pca"]
+        for kind, tag in [("pq", 0), ("opq", 1), ("scalar", 2), ("pca", 3)]:
+            path = tmp_path / f"{kind}.codec"
+            codec.save_codec(str(path), codec.train_codec(codec.CodecSettings(kind, k=8, out_dim=4), x))
+            assert path.read_bytes()[8] == tag
+
+    @pytest.mark.parametrize("kind", list(codec.KINDS))
+    def test_every_truncated_codec_file_is_corrupt(self, kind, tmp_path):
+        x = np.random.default_rng(20).normal(size=(60, 6))
+        settings = codec.CodecSettings(
+            kind, m=2, k=4, iters=2, outer_iters=1, kmeans_iters=2, out_dim=3
+        )
+        path = tmp_path / f"{kind}.codec"
+        codec.save_codec(str(path), codec.train_codec(settings, x))
+        assert_every_prefix_corrupt(path, codec.load_codec)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_every_truncated_embedding_file_is_corrupt(self, dtype, tmp_path):
+        path = tmp_path / "x.emb"
+        codec.save_embeddings(str(path), np.arange(15).reshape(5, 3).astype(dtype))
+        assert_every_prefix_corrupt(path, codec.load_embeddings)
+
+    def test_unknown_tags_are_corrupt(self, tmp_path):
+        path = tmp_path / "x.codec"
+        path.write_bytes(b"BLCODEC1" + bytes([len(codec.KINDS)]))
+        with pytest.raises(CorruptFile, match="unknown codec kind 4"):
+            codec.load_codec(str(path))
+        codec.save_embeddings(str(path), np.zeros((2, 3), dtype=np.uint8))
+        data = bytearray(path.read_bytes())
+        data[20] = 2  # the dtype byte
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptFile, match="unknown embedding dtype tag 2"):
+            codec.load_embeddings(str(path))
+
+    def test_train_codec_rejects_unknown_kind(self):
+        with pytest.raises(ConfigError, match="pq, opq, scalar, pca"):
+            codec.train_codec(codec.CodecSettings("zstd"), np.zeros((4, 2)))
 
     def test_save_load_save_byte_identical(self, tmp_path):
         rng = np.random.default_rng(16)

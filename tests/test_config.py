@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from listalign import config as configmod
+from listalign import codec, config as configmod
 from listalign.align import TrainStage
 from listalign.errors import ConfigError
 
@@ -53,6 +53,11 @@ def test_unknown_nested_key_reports_dotted_path():
         configmod.parse_pipeline_config(
             {"schedule": {"stages": [{"epochs": 1, "lr": 0.1}, {"epoch": 2}]}}
         )
+
+
+def test_unknown_codec_kind_names_every_kind():
+    with pytest.raises(ConfigError, match="codec.kind must be one of pq, opq, scalar, pca, got 'zstd'"):
+        configmod.parse_pipeline_config({"codec": {"kind": "zstd"}})
 
 
 def test_wrong_value_types_rejected():
@@ -219,7 +224,7 @@ _SECTIONS = {
         "eval_ks": _INT_LIST,
     },
     "codec": {
-        "kind": st.sampled_from(["pq", "opq", "scalar", "pca"]),
+        "kind": st.sampled_from(list(codec.KINDS)),
         "m": st.integers(1, 64),
         "k": st.integers(1, 256),
         "rotated_dim": st.one_of(st.none(), st.integers(1, 1024)),

@@ -8,6 +8,8 @@ from listalign import autodiff as ad
 from listalign import model
 from listalign.errors import ConfigError, DegenerateInput, ShapeMismatch
 
+from conftest import assert_every_prefix_corrupt
+
 
 def tiny_setup(seed=0, pool="last", p_max=3, n_layers=2):
     cfg = model.SetEncoderConfig(
@@ -199,6 +201,14 @@ class TestCheckpoint:
         ps3, te3, _ = model.load_checkpoint(path)
         np.testing.assert_array_equal(out1, model.encode_photoset_batch(ps3, photos, counts))
         np.testing.assert_array_equal(model.encode_text(te2, texts), model.encode_text(te3, texts))
+
+    def test_every_truncated_checkpoint_is_corrupt(self, tmp_path):
+        cfg = model.SetEncoderConfig(d_in=2, d_model=2, n_layers=1, n_heads=1, d_out=2, p_max=2)
+        ps = model.init_set_encoder(cfg, seed=0)
+        te = model.init_text_tower(model.TextTowerConfig(dims=(2, 2)), seed=1)
+        path = tmp_path / "small.ckpt"
+        model.save_checkpoint(str(path), ps, te, extra={"temp": 2.639})
+        assert_every_prefix_corrupt(path, model.load_checkpoint)
 
     def test_freeze_flags_survive_round_trip(self, tmp_path):
         _, ps, te = tiny_setup()
