@@ -57,7 +57,8 @@ def pack_f32(a) -> bytes:
 class Reader:
     """Cursor over a container file, positioned after its 8-byte magic.
 
-    A wrong magic or a read past the end of the file raises CorruptFile.
+    A wrong magic, a read past the end of the file or bytes left over after
+the payload (see end) raise CorruptFile.
     """
 
     def __init__(self, path: str, magic: bytes):
@@ -88,3 +89,9 @@ class Reader:
         """A float32 array of the given shape, widened to float64."""
         chunk = self.raw(4 * math.prod(shape))
         return np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
+
+    def end(self) -> None:
+        """Check that the payload has been read to the last byte."""
+        left = len(self.buf) - self.off
+        if left:
+            raise CorruptFile(f"{self.path}: {left} trailing bytes after the payload")

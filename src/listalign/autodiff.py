@@ -7,6 +7,12 @@ nothing. A tape may be entered several times before backward, but backward
 consumes it: a second backward raises StaleTape.
 
 Broadcasting follows numpy; gradients are summed back over broadcast axes.
+
+Row stability: matmul gives a row the same bits alone or inside any batch.
+With a 2-D right operand (every weight, and the logit product) the left
+operand's rows run in fixed 8-row tiles, one same-shape BLAS gemm per tile;
+with stacked operands (attention) each stacked slice is its own gemm. Backward
+is deterministic at a fixed BLAS thread count but not batch invariant.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ __all__ = [
 ]
 
 _TAPE_STACK: list["Tape"] = []
+
+MATMUL_TILE = 8  # rows per gemm when matmul's right operand is 2-D
 
 
 class Tape:
@@ -214,23 +222,56 @@ def pow_const(a, p: float) -> Var:
     return _make(a.value**p, (a,), grad_fn)
 
 
+def _tiled_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a (..., k) @ w (k, n) as one same-shape (8, k) @ (k, n) gemm per 8-row tile.
+
+    The rows of a are flattened and zero-padded to whole tiles, so each row's
+    bits depend only on its own values and w, never on how many rows share the
+    call or where in a tile the row lands.
+    """
+    k, n = w.shape
+    rows = a.reshape(-1, k)
+    r = rows.shape[0]
+    pad = -r % MATMUL_TILE
+    if pad:
+        rows = np.concatenate([rows, np.zeros((pad, k))])
+    out = np.matmul(rows.reshape(-1, MATMUL_TILE, k), w).reshape(-1, n)
+    return out[:r].reshape(a.shape[:-1] + (n,))
+
+
 def matmul(a, b) -> Var:
-    # einsum with fixed subscripts keeps the accumulation order independent of
-    # the leading (batch) dimensions, so a row's result does not change when it
-    # is computed inside a larger batch. Plain @ does not guarantee that.
+    # Row stability: with a 2-D right operand (every weight) the product runs
+    # in fixed 8-row tiles; a stacked right operand gets one gemm per stacked
+    # slice. Either way a row's result is bit-identical alone or in any batch.
+    # Backward only needs determinism, and skips operands that need no grad.
     a, b = _lift(a), _lift(b)
-    if a.value.ndim < 2 or b.value.ndim < 2:
+    av, bv = a.value, b.value
+    if av.ndim < 2 or bv.ndim < 2:
         raise ShapeMismatch("matmul: operands must have at least 2 dimensions")
 
-    def grad_fn(g):
-        ga = np.einsum("...mn,...kn->...mk", g, b.value)
-        gb = np.einsum("...mk,...mn->...kn", a.value, g)
-        return (
-            (a, _unbroadcast(ga, a.value.shape)),
-            (b, _unbroadcast(gb, b.value.shape)),
-        )
+    if bv.ndim == 2:
+        out_val = _tiled_matmul(av, bv)
 
-    return _make(np.einsum("...mk,...kn->...mn", a.value, b.value), (a, b), grad_fn)
+        def grad_fn(g):
+            grads = []
+            if a.requires_grad:
+                grads.append((a, g @ bv.T))
+            if b.requires_grad:
+                k, n = bv.shape
+                grads.append((b, av.reshape(-1, k).T @ g.reshape(-1, n)))
+            return grads
+    else:
+        out_val = np.matmul(av, bv)
+
+        def grad_fn(g):
+            grads = []
+            if a.requires_grad:
+                grads.append((a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)))
+            if b.requires_grad:
+                grads.append((b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
+            return grads
+
+    return _make(out_val, (a, b), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +308,7 @@ def gelu(a) -> Var:
     """Tanh-form GELU; the backward pass is the exact derivative of this form."""
     a = _lift(a)
     x = a.value
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * x * x * x)
     t = np.tanh(inner)
     out_val = 0.5 * x * (1.0 + t)
 

@@ -579,7 +579,9 @@ def load_codec(path: str) -> Codec:
     tag = r.u8()
     if tag >= len(_CLASSES):
         raise CorruptFile(f"{path}: unknown codec kind {tag}")
-    return _CLASSES[tag].read(r)
+    codec = _CLASSES[tag].read(r)
+    r.end()
+    return codec
 
 
 def save_embeddings(path: str, array: np.ndarray) -> None:
@@ -600,7 +602,10 @@ def load_embeddings(path: str) -> np.ndarray:
     r = Reader(path, EMB_MAGIC)
     n, d, dtype_tag = r.u64(), r.u32(), r.u8()
     if dtype_tag == 0:
-        return r.f32((n, d))
-    if dtype_tag == 1:
-        return np.frombuffer(r.raw(n * d), dtype=np.uint8).reshape(n, d).copy()
-    raise CorruptFile(f"{path}: unknown embedding dtype tag {dtype_tag}")
+        array = r.f32((n, d))
+    elif dtype_tag == 1:
+        array = np.frombuffer(r.raw(n * d), dtype=np.uint8).reshape(n, d).copy()
+    else:
+        raise CorruptFile(f"{path}: unknown embedding dtype tag {dtype_tag}")
+    r.end()
+    return array

@@ -25,8 +25,9 @@ import numpy as np
 
 from . import autodiff as ad
 from ._fileio import Reader, atomic_write_bytes, pack_f32, pack_u32
+from ._schema import parse_dataclass
 from .autodiff import Tape, Var
-from .errors import ConfigError, DegenerateInput, ShapeMismatch
+from .errors import ConfigError, CorruptFile, DegenerateInput, ShapeMismatch
 
 __all__ = [
     "SetEncoderConfig",
@@ -384,21 +385,64 @@ def save_checkpoint(path: str, ps: SetEncoderParams, te: TextTowerParams, extra=
     atomic_write_bytes(path, CKPT_MAGIC + pack_u32(len(blob)) + blob + b"".join(payload))
 
 
+def _int_list(value, what: str) -> list:
+    if not (isinstance(value, list) and all(type(v) is int and v >= 0 for v in value)):
+        raise ConfigError(f"{what} must be a list of non-negative integers")
+    return value
+
+
+def _read_header(r: Reader):
+    """Parse the JSON header into fresh towers, freeze flags and manifest.
+
+    Anything that is not the header save_checkpoint writes is CorruptFile.
+    """
+    try:
+        header = json.loads(r.raw(r.u32()).decode("utf-8"))
+        se = parse_dataclass(SetEncoderConfig, header["set_encoder"], "set_encoder")
+        ps = init_set_encoder(se, seed=0)
+        text = header["text_tower"]
+        dims = tuple(_int_list(text["dims"], "text_tower.dims"))
+        te = init_text_tower(TextTowerConfig(dims=dims), seed=0)
+        frozen = text["frozen"]
+        if not (
+            isinstance(frozen, list)
+            and len(frozen) == te.config.n_layers
+            and all(type(f) is bool for f in frozen)
+        ):
+            raise ConfigError("text_tower.frozen must be one boolean per text layer")
+        manifest = []
+        for name, shape in header["manifest"]:
+            if type(name) is not str:
+                raise ConfigError("manifest names must be strings")
+            manifest.append((name, tuple(_int_list(shape, f"shape of {name}"))))
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+        raise CorruptFile(f"{r.path}: malformed checkpoint header: {exc}") from None
+    return ps, te, frozen, manifest
+
+
 def load_checkpoint(path: str):
     """Read a checkpoint: (set encoder params, text tower params, extra dict)."""
     r = Reader(path, CKPT_MAGIC)
-    header = json.loads(r.raw(r.u32()).decode("utf-8"))
-    se = header["set_encoder"]
-    ps = init_set_encoder(SetEncoderConfig(**se), seed=0)
-    te = init_text_tower(TextTowerConfig(dims=tuple(header["text_tower"]["dims"])), seed=0)
+    ps, te, frozen, manifest = _read_header(r)
     known = dict(ps.named() + te.named())
+    names = [name for name, _ in manifest]
+    if len(set(names)) != len(names):
+        raise CorruptFile(f"{path}: repeated tensor name in the manifest")
+    missing = sorted(set(known) - set(names))
+    if missing:
+        raise CorruptFile(f"{path}: manifest lacks tensors {missing}")
     extra = {}
-    for name, shape in header["manifest"]:
+    for name, shape in manifest:
+        if name in known and shape != known[name].value.shape:
+            raise CorruptFile(
+                f"{path}: {name} has shape {list(shape)}, the architecture needs "
+                f"{list(known[name].value.shape)}"
+            )
         arr = r.f32(shape)
         if name in known:
             known[name].value = arr
         else:
             extra[name] = arr
-    frozen = header["text_tower"]["frozen"]
+    r.end()
     set_text_freeze(te, [i for i, f in enumerate(frozen) if not f])
     return ps, te, extra

@@ -41,6 +41,12 @@ def check_grad(build, x0, rtol=1e-6):
     assert np.linalg.norm(analytic - numeric) / scale < rtol
 
 
+# (left, right) shapes for each matmul path: activations @ weight, 2-D @ 2-D,
+# attention's stacked products, and a 2-D left operand broadcast over a stack.
+MATMUL_CASES = [((3, 5, 4), (4, 6)), ((6, 4), (4, 3)), ((2, 3, 5, 4), (2, 3, 4, 5)), ((5, 4), (3, 4, 2))]
+MATMUL_IDS = ["3d-at-2d", "2d-at-2d", "4d-stacked", "2d-at-3d"]
+
+
 class TestValues:
     def test_ops_match_numpy(self):
         rng = np.random.default_rng(0)
@@ -58,6 +64,17 @@ class TestValues:
         a, b = rng.normal(size=(2, 5, 3, 4)), rng.normal(size=(2, 5, 4, 6))
         out = ad.matmul(ad.constant(a), ad.constant(b))
         np.testing.assert_allclose(out.value, a @ b)
+
+    def test_matmul_rows_independent_of_batch(self):
+        '''A row's product has the same bits alone, in any sub-batch or tile slot.'''
+        rng = np.random.default_rng(12)
+        a, w = rng.normal(size=(70, 33)), rng.normal(size=(33, 17))
+        full = ad.matmul(ad.constant(a), ad.constant(w)).value
+        np.testing.assert_allclose(full, a @ w, rtol=1e-12)
+        for i in range(70):
+            np.testing.assert_array_equal(ad.matmul(ad.constant(a[i : i + 1]), w).value, full[i : i + 1])
+        stacked = ad.matmul(ad.constant(a[5:50].reshape(3, 15, 33)), w).value
+        np.testing.assert_array_equal(stacked, full[5:50].reshape(3, 15, 17))
 
     def test_log_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -90,6 +107,31 @@ class TestGradients:
         check_grad(lambda p: (p @ ad.constant(w)).sum(), x0)
         x_const = rng.normal(size=(6, 4))
         check_grad(lambda p: (ad.constant(x_const) @ p).sum(), rng.normal(size=(4, 2)))
+
+    @pytest.mark.parametrize("a_shape, b_shape", MATMUL_CASES, ids=MATMUL_IDS)
+    def test_matmul_paths(self, a_shape, b_shape):
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        mix = ad.constant(rng.normal(size=np.matmul(a, b).shape))  # every output matters
+        check_grad(lambda p: ((p @ ad.constant(b)) * mix).sum(), a)
+        check_grad(lambda p: ((ad.constant(a) @ p) * mix).sum(), b)
+
+    @pytest.mark.parametrize("a_shape, b_shape", MATMUL_CASES, ids=MATMUL_IDS)
+    def test_matmul_constant_operand_gets_no_gradient(self, a_shape, b_shape):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        for left, right in ((ad.constant(a), ad.param(b)), (ad.param(a), ad.constant(b))):
+            live = left if left.requires_grad else right
+            frozen = right if left.requires_grad else left
+            with ad.Tape() as tape:
+                out = left @ right
+                loss = out.sum()
+            pairs = out._grad_fn(np.ones_like(out.value))
+            assert [p is live for p, _ in pairs] == [True]
+            assert pairs[0][1].shape == live.shape
+            grads = ad.backward(tape, loss)
+            assert id(live) in grads
+            assert id(frozen) not in grads
 
     def test_broadcast_add_and_mul(self):
         rng = np.random.default_rng(5)

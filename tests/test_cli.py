@@ -317,6 +317,25 @@ def test_truncated_input_file_exits_without_traceback(workspace, tmp_path, capsy
     assert not (tmp_path / "q").exists() and not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("stage, code", [("eval", 2), ("search", 6)])
+@pytest.mark.parametrize("field", [b"{", b"manifest", b"d_in"])
+def test_flipped_checkpoint_header_exits_without_traceback(workspace, tmp_path, capsys, stage, code, field):
+    data = bytearray((workspace["run"] / "checkpoint.blm").read_bytes())
+    data[data.index(field, 12)] ^= 0x01  # one bit: bad JSON, a missing key, an unknown key
+    flipped = tmp_path / "flipped.blm"
+    flipped.write_bytes(bytes(data))
+    argv = {
+        "eval": ["--out", str(tmp_path / "r.json")],
+        "search": ["--query-id", "0"],
+    }[stage]
+    assert main([stage, "--model", str(flipped), "--data", str(workspace["data"]), *argv, "--quiet"]) == code
+    out, err = capsys.readouterr()
+    assert "malformed checkpoint header" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_truncated_dataset_file_exits_2(workspace, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)

@@ -353,6 +353,24 @@ class TestPersistence:
         with pytest.raises(CorruptFile, match="unknown embedding dtype tag 2"):
             codec.load_embeddings(str(path))
 
+    @pytest.mark.parametrize("kind", list(codec.KINDS))
+    def test_trailing_bytes_in_codec_file_are_corrupt(self, kind, tmp_path):
+        x = np.random.default_rng(21).normal(size=(60, 6))
+        settings = codec.CodecSettings(kind, m=2, k=4, iters=2, outer_iters=1, kmeans_iters=2, out_dim=3)
+        path = tmp_path / f"{kind}.codec"
+        codec.save_codec(str(path), codec.train_codec(settings, x))
+        path.write_bytes(path.read_bytes() + b"xx")
+        with pytest.raises(CorruptFile, match="2 trailing bytes"):
+            codec.load_codec(str(path))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_trailing_bytes_in_embedding_file_are_corrupt(self, dtype, tmp_path):
+        path = tmp_path / "x.emb"
+        codec.save_embeddings(str(path), np.arange(15).reshape(5, 3).astype(dtype))
+        path.write_bytes(path.read_bytes() + b"xx")
+        with pytest.raises(CorruptFile, match="2 trailing bytes"):
+            codec.load_embeddings(str(path))
+
     def test_train_codec_rejects_unknown_kind(self):
         with pytest.raises(ConfigError, match="pq, opq, scalar, pca"):
             codec.train_codec(codec.CodecSettings("zstd"), np.zeros((4, 2)))

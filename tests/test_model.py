@@ -1,12 +1,23 @@
 """Tests for the set encoder, text tower, forward_batch, and checkpoints."""
 
+import functools
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from gradcheck import per_tensor_fd_errors
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import listalign
 from listalign import autodiff as ad
 from listalign import model
-from listalign.errors import ConfigError, DegenerateInput, ShapeMismatch
+from listalign.errors import ConfigError, CorruptFile, DegenerateInput, ListalignError, ShapeMismatch
 
 from conftest import assert_every_prefix_corrupt
 
@@ -128,6 +139,78 @@ class TestEncoding:
             model.TextTowerConfig(dims=(8,)).validate()
 
 
+@functools.cache
+def stability_towers(p_max, pool):
+    return tiny_setup(seed=p_max, pool=pool, p_max=p_max)
+
+
+def assert_rows_stable(ps, te, photos, counts, texts, lo, hi):
+    """Each row alone, and the sub-batch [lo, hi), match the full batch bitwise."""
+    full = model.encode_photoset_batch(ps, photos, counts)
+    full_text = model.encode_text(te, texts)
+    for i in range(len(counts)):
+        np.testing.assert_array_equal(
+            model.encode_photoset(ps, photos[i], int(counts[i])), full[i]
+        )
+        np.testing.assert_array_equal(model.encode_text(te, texts[i]), full_text[i])
+    np.testing.assert_array_equal(
+        model.encode_photoset_batch(ps, photos[lo:hi], counts[lo:hi]), full[lo:hi]
+    )
+    np.testing.assert_array_equal(model.encode_text(te, texts[lo:hi]), full_text[lo:hi])
+
+
+class TestRowStability:
+    """A listing's embedding has the same bits alone or in any batch.
+
+    matmul's fixed 8-row tiles make this hold, but that a BLAS gemm computes a
+    row the same way in every tile position is observed, not promised by
+    numpy, so the property also runs at one and two BLAS threads.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        b=st.integers(min_value=1, max_value=70),
+        p_max=st.sampled_from([1, 3, 5, 8, 11, 16]),
+        pool=st.sampled_from(["last", "mean"]),
+        span=st.tuples(st.integers(0, 70), st.integers(0, 70)),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_single_rows_and_sub_batches_match_batch(self, b, p_max, pool, span, seed):
+        cfg, ps, te = stability_towers(p_max, pool)
+        photos, counts, texts = random_batch(cfg, b, seed=seed)
+        lo = span[0] % b
+        assert_rows_stable(ps, te, photos, counts, texts, lo, lo + 1 + span[1] % (b - lo))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_stable_at_blas_thread_count(self, tmp_path, threads):
+        package_root = str(Path(listalign.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, str(Path(__file__).parent), env.get("PYTHONPATH")])
+        )
+        script = textwrap.dedent("""
+            import numpy as np
+            from conftest import standard_towers
+            from test_model import assert_rows_stable, random_batch, stability_towers
+            for p_max in (3, 8, 11):
+                for pool in ("last", "mean"):
+                    cfg, ps, te = stability_towers(p_max, pool)
+                    for b in (1, 9, 37):
+                        photos, counts, texts = random_batch(cfg, b, seed=b)
+                        assert_rows_stable(ps, te, photos, counts, texts, b // 3, b)
+            ps, te = standard_towers(0)  # the fixtures' widths
+            photos, counts, _ = random_batch(ps.config, 37, seed=5)
+            texts = np.random.default_rng(5).normal(size=(37, te.config.dims[0]))
+            assert_rows_stable(ps, te, photos, counts, texts, 5, 30)
+            print("stable")
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "stable"
+
+
 class TestForwardBatch:
     def test_logits_are_pairwise_cosines(self):
         cfg, ps, te = tiny_setup()
@@ -219,3 +302,63 @@ class TestCheckpoint:
         assert te2.frozen == [True, False]
         assert not te2.tensors["text0.w"].requires_grad
         assert te2.tensors["text1.w"].requires_grad
+
+    def test_trailing_bytes_are_corrupt(self, tmp_path):
+        _, ps, te = tiny_setup()
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(str(path), ps, te)
+        path.write_bytes(path.read_bytes() + b"xx")
+        with pytest.raises(CorruptFile, match="2 trailing bytes"):
+            model.load_checkpoint(str(path))
+
+    def test_every_header_bit_flip_is_typed(self, tmp_path):
+        '''A flipped bit in the length or JSON header loads or raises ListalignError.'''
+        cfg = model.SetEncoderConfig(d_in=2, d_model=2, n_layers=1, n_heads=1, d_out=2, p_max=2)
+        ps = model.init_set_encoder(cfg, seed=0)
+        te = model.init_text_tower(model.TextTowerConfig(dims=(2, 2)), seed=1)
+        path = tmp_path / "small.ckpt"
+        model.save_checkpoint(str(path), ps, te, extra={"temp": 2.639})
+        data = path.read_bytes()
+        header_end = 12 + int.from_bytes(data[8:12], "little")
+        flipped = tmp_path / "flipped.ckpt"
+        corrupt = 0
+        for i in range(8, header_end):
+            for bit in range(8):
+                mutated = bytearray(data)
+                mutated[i] ^= 1 << bit
+                flipped.write_bytes(bytes(mutated))
+                try:
+                    model.load_checkpoint(str(flipped))
+                except ListalignError:
+                    corrupt += 1
+        assert corrupt > 0.9 * 8 * (header_end - 8)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: "{not json",
+        lambda h: {k: v for k, v in h.items() if k != "manifest"},
+        lambda h: {**h, "set_encoder": {**h["set_encoder"], "d_in": "6"}},
+        lambda h: {**h, "set_encoder": {**h["set_encoder"], "d_model": 9}},
+        lambda h: {**h, "set_encoder": {**h["set_encoder"], "pool": "max"}},
+        lambda h: {**h, "text_tower": {**h["text_tower"], "dims": [5, "8", 8]}},
+        lambda h: {**h, "text_tower": {**h["text_tower"], "frozen": [0, 1]}},
+        lambda h: {**h, "manifest": [[name, [2.5]] for name, _ in h["manifest"]]},
+        lambda h: {**h, "manifest": h["manifest"][1:]},
+        lambda h: {**h, "manifest": h["manifest"] + h["manifest"][:1]},
+        lambda h: {**h, "manifest": [[n, s[::-1]] for n, s in h["manifest"]]},
+        lambda h: [h],
+    ], ids=[
+        "not-json", "no-manifest", "str-size", "bad-heads", "bad-pool", "str-dim",
+        "int-frozen", "float-shape", "missing-tensor", "repeated-tensor",
+        "wrong-shape", "not-object",
+    ])
+    def test_malformed_header_is_corrupt(self, tmp_path, edit):
+        _, ps, te = tiny_setup()
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(str(path), ps, te)
+        data = path.read_bytes()
+        header_end = 12 + int.from_bytes(data[8:12], "little")
+        header = edit(json.loads(data[12:header_end]))
+        blob = (header if isinstance(header, str) else json.dumps(header)).encode("utf-8")
+        path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[header_end:])
+        with pytest.raises(CorruptFile):
+            model.load_checkpoint(str(path))
