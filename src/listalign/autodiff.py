@@ -3,8 +3,10 @@
 Values compute eagerly; a Tape records the operations needed for one backward
 pass. Ops only record while a tape is active (``with Tape() as tape:``) and only
 when some input requires a gradient, so frozen or pure-data subgraphs cost
-nothing. A tape may be entered several times before backward, but backward
-consumes it: a second backward raises StaleTape.
+nothing. Outside a tape an op records nothing at all: its output is a plain
+value with no parents and no gradient function, so inference frees each
+intermediate as soon as it is used. A tape may be entered several times before
+backward, but backward consumes it: a second backward raises StaleTape.
 
 Broadcasting follows numpy; gradients are summed back over broadcast axes.
 
@@ -29,7 +31,7 @@ __all__ = [
     "backward",
     "add", "sub", "mul", "div", "neg", "matmul", "pow_const",
     "exp", "log", "sqrt", "tanh", "gelu", "log_sigmoid",
-    "vsum", "vmean", "reshape", "transpose", "getitem",
+    "vsum", "vmean", "reshape", "transpose", "getitem", "take_rows", "put_rows",
     "stop_gradient", "log_softmax", "logsumexp",
 ]
 
@@ -141,10 +143,10 @@ def _lift(x) -> Var:
 
 
 def _make(value, parents, grad_fn) -> Var:
-    needs = any(p.requires_grad for p in parents)
-    out = Var(value, requires_grad=needs, _parents=parents, _grad_fn=grad_fn if needs else None)
-    if needs and _TAPE_STACK:
-        _TAPE_STACK[-1]._nodes.append(out)
+    if not _TAPE_STACK or not any(p.requires_grad for p in parents):
+        return Var(value)
+    out = Var(value, requires_grad=True, _parents=parents, _grad_fn=grad_fn)
+    _TAPE_STACK[-1]._nodes.append(out)
     return out
 
 
@@ -398,6 +400,33 @@ def getitem(a, key) -> Var:
         return ((a, full),)
 
     return _make(a.value[key], (a,), grad_fn)
+
+
+def take_rows(a, rows) -> Var:
+    """Rows of a, read as (N, d) over its leading axes, at distinct flat indices."""
+    a = _lift(a)
+    d = a.value.shape[-1]
+
+    def grad_fn(g):
+        full = np.zeros(a.value.shape)
+        full.reshape(-1, d)[rows] = g
+        return ((a, full),)
+
+    return _make(a.value.reshape(-1, d)[rows], (a,), grad_fn)
+
+
+def put_rows(a, rows, shape) -> Var:
+    """Zeros of the given shape, read as (N, d), with a's (R, d) rows at distinct
+    flat indices rows."""
+    a = _lift(a)
+    d = shape[-1]
+    out_val = np.zeros(shape)
+    out_val.reshape(-1, d)[rows] = a.value
+
+    def grad_fn(g):
+        return ((a, g.reshape(-1, d)[rows]),)
+
+    return _make(out_val, (a,), grad_fn)
 
 
 def stop_gradient(a) -> Var:

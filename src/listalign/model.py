@@ -7,9 +7,12 @@ to the output width, and L2-normalizes. The text tower is a stack of affine +
 GELU layers with a linear head, also L2-normalized. Both towers produce unit
 vectors in the same space; forward_batch pairs them into a cosine logit matrix.
 
-All math runs in float64 through the autodiff tape; layer statistics are always
-per example, and padded photo rows cannot influence real positions, so encoding
-a listing alone or inside any batch is bit-identical.
+All math runs in float64 through autodiff ops. forward_batch records them on a
+tape; the encode_* functions run without one, so their ops record nothing and
+each intermediate is freed once used. Past the input projection, per-slot layers
+run on real photo slots only. Layer statistics are always per example, and
+padded photo rows cannot influence real positions, so encoding a listing alone
+or inside any batch is bit-identical.
 
 Checkpoint format: magic "BLMODEL1", u32 header length, canonical-JSON header
 (architecture, freeze flags, parameter manifest), float32 payload in manifest
@@ -209,29 +212,45 @@ def _l2_normalize_rows(y: Var) -> Var:
     return (y / denom) * mask + ad.constant(fallback * (1.0 - mask))
 
 
-def _attention(x: Var, mask: np.ndarray, p: SetEncoderParams, i: int) -> Var:
+def _attention(h: Var, slots: np.ndarray, out_slots: np.ndarray, mask: np.ndarray,
+               p: SetEncoderParams, i: int) -> Var:
+    """Layer i's masked self-attention over the real slot rows h (R, d_model).
+
+    slots and out_slots are flat (listing * p_max + position) indices: the
+    slots h holds, and the slots whose outputs are wanted. Only the attention
+    core runs in the padded (B, H, P, d_h) layout, with zero Q/K/V rows at
+    padded slots; a padded key's -inf mask gives it a softmax weight of
+    exactly 0, so real rows keep the bits of a fully padded computation.
+    """
     cfg = p.config
     t = p.tensors
-    B, P, dm = x.value.shape
+    B, _, _, P = mask.shape
+    dm = cfg.d_model
     H = cfg.n_heads
     dh = dm // H
     pre = f"layer{i}."
 
-    def heads(v: Var) -> Var:
-        return ad.transpose(v.reshape(B, P, H, dh), (0, 2, 1, 3))
+    def heads(name: str) -> Var:
+        rows = h @ t[pre + "w_" + name] + t[pre + "b_" + name]
+        padded = ad.put_rows(rows, slots, (B, P, dm))
+        return ad.transpose(padded.reshape(B, P, H, dh), (0, 2, 1, 3))
 
-    q = heads(x @ t[pre + "w_q"] + t[pre + "b_q"])
-    k = heads(x @ t[pre + "w_k"] + t[pre + "b_k"])
-    v = heads(x @ t[pre + "w_v"] + t[pre + "b_v"])
+    q, k, v = heads("q"), heads("k"), heads("v")
     scores = q @ ad.transpose(k, (0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
     scores = scores + ad.constant(mask)  # -inf on padded key positions
     attn = ad.exp(ad.log_softmax(scores, axis=-1))
-    ctx = ad.transpose(attn @ v, (0, 2, 1, 3)).reshape(B, P, dm)
+    ctx = ad.take_rows(ad.transpose(attn @ v, (0, 2, 1, 3)).reshape(B, P, dm), out_slots)
     return ctx @ t[pre + "w_o"] + t[pre + "b_o"]
 
 
 def _encode_photoset_graph(p: SetEncoderParams, photos: np.ndarray, counts: np.ndarray) -> Var:
-    """(B, p_max, d_in) padded photo buffers -> (B, d_out) unit rows."""
+    """(B, p_max, d_in) padded photo buffers -> (B, d_out) unit rows.
+
+    Past the input projection the residual stream holds real photo slots
+    only, (R, d_model) for R = counts.sum(), so per-slot layers do no work on
+    padding. With last pooling the final layer's output projection and FFN
+    run on the pooled slot alone.
+    """
     cfg = p.config
     t = p.tensors
     B, P, _ = photos.shape
@@ -240,21 +259,27 @@ def _encode_photoset_graph(p: SetEncoderParams, photos: np.ndarray, counts: np.n
         # mean pooling is the order-free ablation: no positional table, so the
         # encoder sees the photos as a pure set
         x = x + t["pos_emb"]
-    key_mask = np.where(np.arange(P)[None, :] < counts[:, None], 0.0, -np.inf)
-    mask4 = key_mask.reshape(B, 1, 1, P)
+    real = np.arange(P)[None, :] < counts[:, None]
+    slots = np.flatnonzero(real)
+    mask4 = np.where(real, 0.0, -np.inf).reshape(B, 1, 1, P)
+    x = ad.take_rows(x, slots)
+    last_rows = np.cumsum(counts) - 1  # each listing's last real slot, as a row of x
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
-        x = x + _attention(_layer_norm(x, t[pre + "ln1_g"], t[pre + "ln1_b"]), mask4, p, i)
+        h = _layer_norm(x, t[pre + "ln1_g"], t[pre + "ln1_b"])
+        if cfg.pool == "last" and i == cfg.n_layers - 1:
+            x = ad.take_rows(x, last_rows) + _attention(h, slots, slots[last_rows], mask4, p, i)
+        else:
+            x = x + _attention(h, slots, slots, mask4, p, i)
         h = _layer_norm(x, t[pre + "ln2_g"], t[pre + "ln2_b"])
         h = ad.gelu(h @ t[pre + "w_ff1"] + t[pre + "b_ff1"]) @ t[pre + "w_ff2"] + t[pre + "b_ff2"]
         x = x + h
     if cfg.pool == "last":
-        pooled = x[np.arange(B), counts - 1, :]
+        pooled = x
     else:
-        real = (np.arange(P)[None, :] < counts[:, None]).astype(np.float64)
-        pooled = (x * ad.constant(real[:, :, None])).sum(axis=1) / ad.constant(
-            counts.astype(np.float64)[:, None]
-        )
+        padded = ad.put_rows(x, slots, (B, P, cfg.d_model))
+        weights = ad.constant(real[:, :, None].astype(np.float64))
+        pooled = (padded * weights).sum(axis=1) / ad.constant(counts.astype(np.float64)[:, None])
     out = pooled @ t["w_out"] + t["b_out"]
     return _l2_normalize_rows(out)
 

@@ -23,7 +23,7 @@ import numpy as np
 from ._fileio import atomic_write_text
 from ._schema import load_json, parse_dataclass
 from .codec import load_embeddings, save_embeddings
-from .errors import ConfigError, DegenerateInput
+from .errors import ConfigError, CorruptFile, DegenerateInput
 from .linalg import as_matrix
 
 __all__ = [
@@ -316,25 +316,62 @@ def save_dataset(directory: str, records, config: GeneratorConfig | None = None)
         )
 
 
+_INDEX_KEYS = ("attributes", "id", "photo_count", "photo_row_offset", "row", "text_length_proxy")
+
+
+def _index_entry(line: str, row: int, p_max: int, where: str) -> dict:
+    """One JSONL line, checked to be exactly what save_dataset writes for row."""
+    try:
+        meta = json.loads(line)
+    except ValueError as exc:
+        raise CorruptFile(f"{where}: not JSON: {exc}") from None
+    if not isinstance(meta, dict) or sorted(meta) != list(_INDEX_KEYS):
+        raise CorruptFile(f"{where}: expected an object with keys {', '.join(_INDEX_KEYS)}")
+    attrs = meta["attributes"]
+    if not isinstance(attrs, dict) or sorted(attrs) != sorted(ATTRIBUTE_NAMES):
+        raise CorruptFile(f"{where}: attributes must be {', '.join(ATTRIBUTE_NAMES)}")
+    if not all(type(v) is int for v in [*attrs.values(), *(meta[k] for k in _INDEX_KEYS[1:])]):
+        raise CorruptFile(f"{where}: fields and attributes must be integers")
+    for key, expected in (("row", row), ("photo_row_offset", row * p_max)):
+        if meta[key] != expected:
+            raise CorruptFile(f"{where}: {key} {meta[key]}, expected {expected}")
+    if not 1 <= meta["photo_count"] <= p_max:
+        raise CorruptFile(f"{where}: photo_count {meta['photo_count']} outside [1, {p_max}]")
+    return meta
+
+
 def load_dataset(directory: str) -> list[ListingRecord]:
-    """Read records back; float32 sidecars widen to float64."""
+    """Read records back; float32 sidecars widen to float64.
+
+    An index line or sidecar that disagrees with what save_dataset writes
+    raises CorruptFile.
+    """
     index_path = os.path.join(directory, INDEX_FILE)
-    with open(index_path, "r", encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
-    if not rows:
-        raise DegenerateInput(f"{index_path}: empty dataset index")
+    try:
+        with open(index_path, "r", encoding="utf-8") as fh:
+            lines = [line for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(f"{index_path}: not UTF-8 text: {exc}") from None
+    if not lines:
+        raise CorruptFile(f"{index_path}: empty dataset index")
+    n = len(lines)
     photos = load_embeddings(os.path.join(directory, PHOTOS_FILE))
     texts = load_embeddings(os.path.join(directory, TEXT_FILE))
     latents = load_embeddings(os.path.join(directory, LATENT_FILE))
-    p_max = photos.shape[0] // len(rows)
+    if photos.shape[0] % n:
+        raise CorruptFile(f"{directory}: {photos.shape[0]} photo rows for {n} listings")
+    for name, arr in ((TEXT_FILE, texts), (LATENT_FILE, latents)):
+        if arr.shape[0] != n:
+            raise CorruptFile(f"{directory}: {name} has {arr.shape[0]} rows for {n} listings")
+    p_max = photos.shape[0] // n
     records = []
-    for meta in rows:
-        row = meta["row"]
+    for row, line in enumerate(lines):
+        meta = _index_entry(line, row, p_max, f"{index_path} line {row + 1}")
         records.append(
             ListingRecord(
                 id=meta["id"],
                 latent=latents[row],
-                photos=photos[meta["photo_row_offset"] : meta["photo_row_offset"] + p_max],
+                photos=photos[row * p_max : (row + 1) * p_max],
                 photo_count=meta["photo_count"],
                 text_features=texts[row],
                 text_length_proxy=meta["text_length_proxy"],

@@ -159,6 +159,36 @@ class TestGradients:
         idx = (np.array([0, 2, 2]), np.array([1, 0, 2]))  # repeated element
         check_grad(lambda p: (p[idx] * np.array([1.0, 2.0, 3.0])).sum(), x0)
 
+    # (source shape, distinct flat row indices): every row, one row per listing
+    # of a (4, 3) slot grid, and the real slots of a 3-D padded source
+    ROW_CASES = [
+        ((6, 3), np.arange(6)),
+        ((12, 2), np.array([2, 3, 7, 9])),
+        ((4, 3, 2), np.array([0, 3, 4, 5, 6, 9, 10])),
+    ]
+    ROW_IDS = ["all-rows", "one-per-listing", "3d-source"]
+
+    @pytest.mark.parametrize("shape, rows", ROW_CASES, ids=ROW_IDS)
+    def test_take_rows(self, shape, rows):
+        rng = np.random.default_rng(11)
+        c = rng.normal(size=(len(rows), shape[-1]))
+        check_grad(lambda p: (ad.take_rows(p, rows) * c).sum(), rng.normal(size=shape))
+
+    @pytest.mark.parametrize("shape, rows", ROW_CASES, ids=ROW_IDS)
+    def test_put_rows(self, shape, rows):
+        rng = np.random.default_rng(12)
+        c = rng.normal(size=shape)
+        x0 = rng.normal(size=(len(rows), shape[-1]))
+        check_grad(lambda p: (ad.put_rows(p, rows, shape) * c).sum(), x0)
+
+    def test_put_rows_fills_the_rest_with_zeros(self):
+        x = np.arange(6.0).reshape(3, 2)
+        out = ad.put_rows(ad.constant(x), np.array([1, 2, 4]), (2, 3, 2)).value
+        expected = np.zeros((6, 2))
+        expected[[1, 2, 4]] = x
+        np.testing.assert_array_equal(out, expected.reshape(2, 3, 2))
+        np.testing.assert_array_equal(ad.take_rows(ad.constant(out), np.array([1, 2, 4])).value, x)
+
     def test_reshape_transpose_mean(self):
         rng = np.random.default_rng(10)
         x0 = rng.normal(size=(4, 6))
@@ -246,6 +276,18 @@ class TestTapeLifecycle:
         y = (p * p).sum()  # outside: computes the value, records nothing
         assert float(y.value) == 4.0
         assert len(tape) == 0
+
+    def test_no_graph_outside_a_tape(self):
+        '''Without a tape an op keeps no parents or closure; inside one it does.'''
+        p = ad.param(np.ones((2, 2)))
+        for y in (p * p, ad.take_rows(p, np.array([1])), ad.gelu(p) @ p):
+            assert not y.requires_grad
+            assert y._parents == () and y._grad_fn is None
+        with ad.Tape() as tape:
+            y = p * p
+            loss = (ad.take_rows(y, np.array([0, 1])) @ p).sum()
+        assert y._parents == (p, p) and y._grad_fn is not None
+        assert set(ad.backward(tape, loss)) == {id(p)}
 
     def test_non_scalar_root_rejected(self):
         p = ad.param(np.ones((2, 2)))

@@ -346,6 +346,62 @@ def test_truncated_dataset_file_exits_2(workspace, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def _edit_index_line(edit):
+    """Rewrite the second line of the train split's index."""
+    def apply(train_dir):
+        path = train_dir / "dataset.jsonl"
+        lines = path.read_text().splitlines()
+        edited = edit(json.loads(lines[1]))
+        lines[1] = edited if isinstance(edited, str) else json.dumps(edited)
+        path.write_text("\n".join(lines) + "\n")
+    return apply
+
+
+def _drop_last_row(name):
+    def apply(train_dir):
+        path = str(train_dir / name)
+        codecmod.save_embeddings(path, codecmod.load_embeddings(path)[:-1])
+    return apply
+
+
+MALFORMED_DATASETS = {
+    "not-json": _edit_index_line(lambda m: "{not json"),
+    "not-object": _edit_index_line(lambda m: [m]),
+    "missing-key": _edit_index_line(lambda m: {k: v for k, v in m.items() if k != "text_length_proxy"}),
+    "extra-key": _edit_index_line(lambda m: {**m, "note": 1}),
+    "str-count": _edit_index_line(lambda m: {**m, "photo_count": str(m["photo_count"])}),
+    "float-attribute": _edit_index_line(lambda m: {**m, "attributes": {**m["attributes"], "density": 0.5}}),
+    "wrong-row": _edit_index_line(lambda m: {**m, "row": 0}),
+    "wrong-offset": _edit_index_line(lambda m: {**m, "photo_row_offset": m["photo_row_offset"] + 1}),
+    "zero-photos": _edit_index_line(lambda m: {**m, "photo_count": 0}),
+    "too-many-photos": _edit_index_line(lambda m: {**m, "photo_count": TINY_CONFIG["generator"]["p_max"] + 1}),
+    "empty-index": lambda train_dir: (train_dir / "dataset.jsonl").write_text("\n"),
+    "not-utf8": lambda train_dir: (train_dir / "dataset.jsonl").write_bytes(b"\xff\n"),
+    "photo-rows": _drop_last_row("photos.emb"),
+    "text-rows": _drop_last_row("text.emb"),
+    "latent-rows": _drop_last_row("latent.emb"),
+}
+
+
+@pytest.mark.parametrize("stage", ["train", "eval", "search"])
+@pytest.mark.parametrize("case", list(MALFORMED_DATASETS))
+def test_malformed_dataset_exits_2(workspace, tmp_path, capsys, stage, case):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    MALFORMED_DATASETS[case](data / "train")
+    argv = {
+        "train": ["--out", str(tmp_path / "run")],
+        "eval": ["--model", str(workspace["run"] / "checkpoint.blm"), "--out", str(tmp_path / "r.json")],
+        "search": ["--model", str(workspace["run"] / "checkpoint.blm"), "--query-id", "0"],
+    }[stage]
+    assert main([stage, "--data", str(data), *argv, "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    assert f"cannot read dataset under {data}" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "run").exists() and not (tmp_path / "r.json").exists()
+
+
 def test_config_directory_exits_2(tmp_path, capsys):
     out = tmp_path / "x"
     assert main(["gen", "--config", str(tmp_path), "--out", str(out), "--quiet"]) == 2

@@ -31,10 +31,11 @@ def tiny_setup(seed=0, pool="last", p_max=3, n_layers=2):
     return cfg, ps, te
 
 
-def random_batch(cfg, b, seed=0):
+def random_batch(cfg, b, seed=0, counts=None):
     rng = np.random.default_rng(seed)
     photos = rng.normal(size=(b, cfg.p_max, cfg.d_in))
-    counts = rng.integers(1, cfg.p_max + 1, size=b)
+    drawn = rng.integers(1, cfg.p_max + 1, size=b)
+    counts = drawn if counts is None else np.asarray(counts)
     for i in range(b):
         photos[i, counts[i] :] = 0.0
     texts = rng.normal(size=(b, 5))
@@ -211,6 +212,100 @@ class TestRowStability:
         assert proc.stdout.strip() == "stable"
 
 
+def dense_attention(x, mask, p, i):
+    """The set encoder's attention as it ran on every padded slot."""
+    t = p.tensors
+    B, P, dm = x.value.shape
+    H = p.config.n_heads
+    dh = dm // H
+    pre = f"layer{i}."
+
+    def heads(v):
+        return ad.transpose(v.reshape(B, P, H, dh), (0, 2, 1, 3))
+
+    q = heads(x @ t[pre + "w_q"] + t[pre + "b_q"])
+    k = heads(x @ t[pre + "w_k"] + t[pre + "b_k"])
+    v = heads(x @ t[pre + "w_v"] + t[pre + "b_v"])
+    scores = q @ ad.transpose(k, (0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
+    scores = scores + ad.constant(mask)
+    attn = ad.exp(ad.log_softmax(scores, axis=-1))
+    ctx = ad.transpose(attn @ v, (0, 2, 1, 3)).reshape(B, P, dm)
+    return ctx @ t[pre + "w_o"] + t[pre + "b_o"]
+
+
+def dense_encode_graph(p, photos, counts):
+    """Reference set encoder: every layer runs on all p_max slots, padding included."""
+    cfg = p.config
+    t = p.tensors
+    B, P, _ = photos.shape
+    x = ad.constant(photos) @ t["w_in"] + t["b_in"]
+    if cfg.pool == "last":
+        x = x + t["pos_emb"]
+    key_mask = np.where(np.arange(P)[None, :] < counts[:, None], 0.0, -np.inf)
+    mask4 = key_mask.reshape(B, 1, 1, P)
+    for i in range(cfg.n_layers):
+        pre = f"layer{i}."
+        h = model._layer_norm(x, t[pre + "ln1_g"], t[pre + "ln1_b"])
+        x = x + dense_attention(h, mask4, p, i)
+        h = model._layer_norm(x, t[pre + "ln2_g"], t[pre + "ln2_b"])
+        h = ad.gelu(h @ t[pre + "w_ff1"] + t[pre + "b_ff1"]) @ t[pre + "w_ff2"] + t[pre + "b_ff2"]
+        x = x + h
+    if cfg.pool == "last":
+        pooled = x[np.arange(B), counts - 1, :]
+    else:
+        real = (np.arange(P)[None, :] < counts[:, None]).astype(np.float64)
+        pooled = (x * ad.constant(real[:, :, None])).sum(axis=1) / ad.constant(
+            counts.astype(np.float64)[:, None]
+        )
+    return model._l2_normalize_rows(pooled @ t["w_out"] + t["b_out"])
+
+
+def logit_mix(b):
+    """A fixed (b, b) weighting so the loss depends on every logit."""
+    return ad.constant(np.random.default_rng(b).normal(size=(b, b)))
+
+
+class TestRealSlotsOnly:
+    """Per-slot layers skip padding, with the bits of the dense reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pool=st.sampled_from(["last", "mean"]),
+        p_max=st.sampled_from([1, 3, 8]),
+        fill=st.sampled_from(["one", "full", "mixed"]),
+        b=st.integers(min_value=2, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_dense_reference(self, pool, p_max, fill, b, seed):
+        cfg, ps, te = stability_towers(p_max, pool)
+        counts = {"one": np.ones(b, int), "full": np.full(b, p_max), "mixed": None}[fill]
+        photos, counts, texts = random_batch(cfg, b, seed=seed, counts=counts)
+        np.testing.assert_array_equal(
+            model.encode_photoset_batch(ps, photos, counts),
+            dense_encode_graph(ps, photos, counts).value,
+        )
+
+        ref_tape = ad.Tape()
+        with ref_tape:
+            ref_logits = dense_encode_graph(ps, photos, counts) @ ad.transpose(
+                model._encode_text_graph(te, texts), (1, 0)
+            )
+            ref_loss = (ref_logits * logit_mix(b)).sum()
+        ref_grads = model.backward(ref_tape, ref_loss, ps, te)
+        logits, tape = model.forward_batch(ps, te, photos, counts, texts)
+        with tape:
+            loss = (logits * logit_mix(b)).sum()
+        grads = model.backward(tape, loss, ps, te)
+        np.testing.assert_array_equal(logits.value, ref_logits.value)
+        # the attention key bias has an exactly-zero true gradient (softmax is
+        # shift invariant), so its entries are rounding noise on both sides
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(
+                grads[name], ref, rtol=1e-10, atol=1e-10 * scale, err_msg=name
+            )
+
+
 class TestForwardBatch:
     def test_logits_are_pairwise_cosines(self):
         cfg, ps, te = tiny_setup()
@@ -228,21 +323,23 @@ class TestForwardBatch:
             model.forward_batch(ps, te, photos, counts, texts)
 
     def test_full_path_gradients_match_finite_differences(self):
-        '''Every trainable parameter, through attention, pooling, and both towers.'''
+        '''Every trainable parameter, through attention, pooling, and both towers,
+        for drawn counts and for a batch where one listing has a single photo.'''
         cfg, ps, te = tiny_setup(seed=12)
-        photos, counts, texts = random_batch(cfg, 4, seed=12)
         rng = np.random.default_rng(99)
         w = rng.normal(size=(4, 4))  # fixed mixing so every logit matters
+        for counts in (None, [3, 1, 2, 3]):
+            photos, counts, texts = random_batch(cfg, 4, seed=12, counts=counts)
 
-        def loss_builder():
-            logits, tape = model.forward_batch(ps, te, photos, counts, texts)
-            with tape:
-                loss = (logits * ad.constant(w)).sum()
-            return loss, tape
+            def loss_builder():
+                logits, tape = model.forward_batch(ps, te, photos, counts, texts)
+                with tape:
+                    loss = (logits * ad.constant(w)).sum()
+                return loss, tape
 
-        errors = per_tensor_fd_errors(loss_builder, [ps, te])
-        worst = max(errors.values())
-        assert worst < 1e-4, {k: v for k, v in errors.items() if v >= 1e-4}
+            errors = per_tensor_fd_errors(loss_builder, [ps, te])
+            worst = max(errors.values())
+            assert worst < 1e-4, {k: v for k, v in errors.items() if v >= 1e-4}
 
     def test_frozen_text_layers_get_zero_gradient(self):
         cfg, ps, te = tiny_setup()
