@@ -4,9 +4,11 @@ Values compute eagerly; a Tape records the operations needed for one backward
 pass. Ops only record while a tape is active (``with Tape() as tape:``) and only
 when some input requires a gradient, so frozen or pure-data subgraphs cost
 nothing. Outside a tape an op records nothing at all: its output is a plain
-value with no parents and no gradient function, so inference frees each
-intermediate as soon as it is used. A tape may be entered several times before
-backward, but backward consumes it: a second backward raises StaleTape.
+value with no gradient function, so inference frees each intermediate as soon
+as it is used. A recorded node's gradient function is a closure over its
+parents, and the tape's node list orders the backward pass. A tape may be
+entered several times before backward, but backward consumes it: a second
+backward raises StaleTape.
 
 Broadcasting follows numpy; gradients are summed back over broadcast axes.
 
@@ -65,12 +67,11 @@ class Tape:
 class Var:
     """A float64 array plus the bookkeeping to backpropagate through it."""
 
-    __slots__ = ("value", "requires_grad", "_parents", "_grad_fn")
+    __slots__ = ("value", "requires_grad", "_grad_fn")
 
-    def __init__(self, value, requires_grad=False, _parents=(), _grad_fn=None):
+    def __init__(self, value, requires_grad=False, _grad_fn=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.requires_grad = requires_grad
-        self._parents = _parents
         self._grad_fn = _grad_fn
 
     @property
@@ -145,7 +146,7 @@ def _lift(x) -> Var:
 def _make(value, parents, grad_fn) -> Var:
     if not _TAPE_STACK or not any(p.requires_grad for p in parents):
         return Var(value)
-    out = Var(value, requires_grad=True, _parents=parents, _grad_fn=grad_fn)
+    out = Var(value, requires_grad=True, _grad_fn=grad_fn)
     _TAPE_STACK[-1]._nodes.append(out)
     return out
 

@@ -10,6 +10,12 @@ Trained codec parameters are rounded to float32 before use so that the values in
 memory equal the values on disk; encoding after a save/load round-trip is
 bit-identical to encoding before it.
 
+PQ encoding picks, per subspace, the centroid with the smallest
+||c||^2 - 2 x.c (linalg._nearest; ties go to the lowest index) from a score
+table built once per codebook. Consecutive subspaces are scored in groups
+whose score array is about an L2 cache in size; each subspace is still its own
+gemm, so the grouping changes no code.
+
 File formats (little-endian):
 
     codec file      magic "BLCODEC1", kind u8, kind-specific u32 dims,
@@ -25,6 +31,7 @@ loading.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +39,8 @@ from ._fileio import Reader, atomic_write_bytes, pack_f32, pack_u8, pack_u32, pa
 from .errors import ConfigError, CorruptFile, DegenerateInput, ShapeMismatch
 from .linalg import (
     PcaModel,
-    _sq_dists,
+    _nearest,
+    _score_table,
     as_matrix,
     kmeans_fit,  # noqa: F401  unused here; perfbench/tracing.py patches codec.kmeans_fit
     kmeans_pp_seeds,
@@ -125,6 +133,11 @@ class PqCodebook:
     def padded_dim(self) -> int:
         return self.m * self.sub_dim
 
+    @cached_property
+    def score_tables(self) -> np.ndarray:
+        """Per-subspace nearest-centroid score tables, (m, sub_dim + 1, k)."""
+        return _score_table(self.codebooks)
+
     def encode(self, x) -> CodeBlock:
         return pq_encode(self, x)
 
@@ -182,13 +195,27 @@ def pq_train(x, m: int, k: int, iters: int = 25, seed: int = 0) -> PqCodebook:
     return PqCodebook(dim=d, m=m, k=k, sub_dim=sub_dim, codebooks=_f32(codebooks))
 
 
+# Bytes of nearest-centroid scores computed at once: about an L2 cache, so a
+# group's scores are still cached when argmin reads them back.
+_SCORE_BYTES = 1 << 20
+
+
 def _pq_encode_padded(cb: PqCodebook, xp: np.ndarray) -> np.ndarray:
-    n = xp.shape[0]
+    """Codes of padded rows, nearest centroid per subspace (ties: lowest index).
+
+    Consecutive subspaces are stacked in groups of g, one (g, n, sub_dim + 1)
+    by (g, sub_dim + 1, k) matmul per group, which runs one gemm per subspace.
+    """
+    n, s = xp.shape[0], cb.sub_dim
+    g = min(cb.m, max(1, _SCORE_BYTES // (8 * max(n, 1) * cb.k)))
+    xa = np.empty((g, n, s + 1))
+    xa[..., s] = 1.0
     codes = np.empty((n, cb.m), dtype=np.uint8)
-    for j in range(cb.m):
-        sl = xp[:, j * cb.sub_dim : (j + 1) * cb.sub_dim]
-        d2 = _sq_dists(sl, cb.codebooks[j], np.sum(sl * sl, axis=1))
-        codes[:, j] = np.argmin(d2, axis=1)  # ties: lowest centroid index
+    for lo in range(0, cb.m, g):
+        hi = min(lo + g, cb.m)
+        group = xa[: hi - lo]
+        group[..., :s] = xp[:, lo * s : hi * s].reshape(n, hi - lo, s).transpose(1, 0, 2)
+        codes[:, lo:hi] = _nearest(group, cb.score_tables[lo:hi]).T
     return codes
 
 
@@ -202,8 +229,8 @@ def pq_encode(cb: PqCodebook, x) -> CodeBlock:
 
 
 def _pq_decode_padded(cb: PqCodebook, codes: np.ndarray) -> np.ndarray:
-    parts = [cb.codebooks[j][codes[:, j]] for j in range(cb.m)]
-    return np.concatenate(parts, axis=1)
+    # One gather straight into the (n, m, sub_dim) result, viewed as (n, m * sub_dim).
+    return cb.codebooks[np.arange(cb.m), codes].reshape(codes.shape[0], cb.padded_dim)
 
 
 def pq_decode(cb: PqCodebook, block: CodeBlock) -> np.ndarray:
@@ -292,7 +319,6 @@ def opq_train(
         )
 
     xp = _pad_columns(x, rotated_dim)
-    rotation = np.eye(rotated_dim)
     xr = xp
     cb = pq_train(xr, m, k, iters=kmeans_iters, seed=seed)
     xhat = _reconstruct(cb, xr)
@@ -309,6 +335,10 @@ def opq_train(
         xhat = _reconstruct(cb, xr)
         history.append(float(np.sum((xr - xhat) ** 2)))
 
+    if outer_iters == 0:
+        # Built only here: a rotated_dim-square identity held through the fit
+        # would add to its memory peak, Procrustes' SVD.
+        rotation = np.eye(rotated_dim)
     return OpqCodec(
         input_dim=d,
         rotated_dim=rotated_dim,
@@ -318,18 +348,36 @@ def opq_train(
     )
 
 
+# Rows rotated at once by OPQ encode and decode, so that their padded and
+# rotated temporaries stay a few MB at any batch size. A large block gives a
+# row the bits of a whole-batch product; BLAS may run a short last block of a
+# small matrix through another kernel, which can move the last bits.
+_ROW_BLOCK = 256
+
+
 def opq_encode(codec: OpqCodec, x) -> CodeBlock:
     x = as_matrix(x)
     if x.shape[1] != codec.input_dim:
         raise ShapeMismatch(f"opq_encode: expected {codec.input_dim} columns, got {x.shape[1]}")
-    xr = _pad_columns(x, codec.rotated_dim) @ codec.rotation
-    codes = _pq_encode_padded(codec.pq, xr)
+    codes = np.empty((x.shape[0], codec.pq.m), dtype=np.uint8)
+    for lo in range(0, x.shape[0], _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        xr = _pad_columns(x[rows], codec.rotated_dim) @ codec.rotation
+        codes[rows] = _pq_encode_padded(codec.pq, xr)
     return CodeBlock(n=x.shape[0], bytes_per_vector=codec.pq.m, codes=codes)
 
 
 def opq_decode(codec: OpqCodec, block: CodeBlock) -> np.ndarray:
-    xr = pq_decode(codec.pq, block)
-    return (xr @ codec.rotation.T)[:, : codec.input_dim]
+    if block.bytes_per_vector != codec.pq.m:
+        raise ShapeMismatch(
+            f"opq_decode: block has {block.bytes_per_vector} bytes/vector, codec wants {codec.pq.m}"
+        )
+    out = np.empty((block.n, codec.input_dim))
+    for lo in range(0, block.n, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        xr = _pq_decode_padded(codec.pq, block.codes[rows])
+        out[rows] = xr @ codec.rotation[: codec.input_dim].T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +590,12 @@ def compression_report(x, x_hat, levels=DEFAULT_LEVELS) -> CompressionReport:
     x_hat = as_matrix(x_hat, "x_hat")
     if x.shape != x_hat.shape:
         raise ShapeMismatch(f"compression_report: shapes differ, {x.shape} vs {x_hat.shape}")
-    errs = np.linalg.norm(x - x_hat, axis=1)
-    norms = np.linalg.norm(x, axis=1)
+    # Blocks of rows keep the temporaries small; a row's norm is the same either way.
+    errs, norms = np.empty(len(x)), np.empty(len(x))
+    for lo in range(0, len(x), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        errs[rows] = np.linalg.norm(x[rows] - x_hat[rows], axis=1)
+        norms[rows] = np.linalg.norm(x[rows], axis=1)
     ok = norms > 0.0
     rel = float(np.mean(errs[ok] / norms[ok])) if ok.any() else 0.0
     return CompressionReport(

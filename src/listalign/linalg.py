@@ -2,10 +2,24 @@
 
 Matrices are 2-D float64 ndarrays throughout; 32-bit input is widened on entry.
 Everything here is deterministic for a fixed seed.
+
+The nearest centroid of a point x is argmin_j (||c_j||^2 - 2 x.c_j), ties to
+the lowest index: ||x||^2 is the same for every centroid, so it is dropped,
+and the score is one gemm of (x | 1) by the score table (-2c | ||c||^2)^T.
+Lloyd, KmeansModel.assign and PQ encoding share that kernel (_nearest);
+k-means++ keeps true distances (_sq_dists) because it samples from them.
+
+procrustes runs with BLAS pinned to one thread (blas_threads), because the
+summation order of a threaded gemm and SVD, and so the last bits of an OPQ
+rotation, depend on the thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +36,7 @@ __all__ = [
     "kmeans_refine",
     "procrustes",
     "percentiles",
+    "blas_threads",
 ]
 
 
@@ -106,7 +121,34 @@ class KmeansModel:
             raise ShapeMismatch(
                 f"assign: expected {self.centroids.shape[1]} columns, got {x.shape[1]}"
             )
-        return np.argmin(_sq_dists(x, self.centroids, np.sum(x * x, axis=1)), axis=1)
+        return _nearest(_with_ones(x), _score_table(self.centroids))
+
+
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """Points (..., n, s) with a column of ones appended, (..., n, s + 1)."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., :-1] = x
+    out[..., -1] = 1.0
+    return out
+
+
+def _score_table(c: np.ndarray) -> np.ndarray:
+    """Centroids (..., k, s) as the score table (-2c | ||c||^2)^T, (..., s + 1, k)."""
+    out = np.empty(c.shape[:-2] + (c.shape[-1] + 1, c.shape[-2]))
+    out[..., :-1, :] = np.swapaxes(-2.0 * c, -1, -2)
+    out[..., -1, :] = np.sum(c * c, axis=-1)
+    return out
+
+
+def _nearest(xa: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Nearest centroid per row, ties to the lowest index, (..., n).
+
+    xa is _with_ones(x) and table is _score_table(c). The score
+    ||c||^2 - 2 x.c differs from ||x - c||^2 by ||x||^2, which is the same for
+    every centroid of a row, so the argmin is that of the squared distance up
+    to rounding: only centroids within rounding of each other can swap.
+    """
+    return np.argmin(xa @ table, axis=-1)
 
 
 def _sq_dists(x: np.ndarray, c: np.ndarray, xx: np.ndarray) -> np.ndarray:
@@ -152,17 +194,39 @@ def kmeans_pp_seeds(blocks, k: int, seeds) -> np.ndarray:
         live = total > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             cdf = np.cumsum(d2 / total[:, None], axis=1)
-            cdf /= cdf[:, -1:]
         for j, ok in enumerate(live.tolist()):
             if ok:
                 u[j] = rngs[j].random()
-        # searchsorted(cdf, u, side="right") per block, as Generator.choice does.
-        idx = np.count_nonzero(cdf <= u[:, None], axis=1)
+        idx = _cdf_draw(cdf, u)
         for j in np.flatnonzero(~live):
             idx[j] = rngs[j].integers(n)
         centroids[:, t] = blocks[rows, idx]
         np.minimum(d2, _sq_dists(blocks, centroids[:, t : t + 1], xx)[:, :, 0], out=d2)
     return centroids
+
+
+def _cdf_draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the count of cdf[row] / cdf[row, -1] <= u[row], (m,).
+
+    That is Generator.choice's searchsorted(cdf / cdf[-1], u, side="right"),
+    found by binary search over the raw cumulative sums: they never decrease,
+    and dividing by a positive last entry keeps their order, so probing
+    cdf[row, mid] / last at about log2(n) points gives the same count as
+    normalising and counting the whole row. A zero-mass row (all NaN) compares
+    false everywhere and gets 0, as counting does.
+    """
+    m, n = cdf.shape
+    rows = np.arange(m)
+    last = cdf[:, -1]
+    lo = np.zeros(m, dtype=np.intp)
+    hi = np.full(m, n, dtype=np.intp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(n.bit_length()):
+            mid = (lo + hi) // 2
+            le = cdf[rows, np.minimum(mid, n - 1)] / last <= u
+            lo = np.where(le & (lo < hi), mid + 1, lo)
+            hi = np.where(le, hi, mid)
+    return lo
 
 
 def _lloyd(x: np.ndarray, centroids: np.ndarray, iters: int):
@@ -173,8 +237,8 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, iters: int):
     """
     k = centroids.shape[0]
     centroids = centroids.copy()
-    xx = np.sum(x * x, axis=1)
-    labels = np.argmin(_sq_dists(x, centroids, xx), axis=1)
+    xa = _with_ones(x)
+    labels = _nearest(xa, _score_table(centroids))
     # Direct differences for the cost: exact zero when a point sits on its centroid.
     point_cost = np.sum((x - centroids[labels]) ** 2, axis=1)
     history = [float(point_cost.sum())]
@@ -197,7 +261,7 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, iters: int):
                 cost[far] = 0.0
         prev_labels = labels
         centroids = new_centroids
-        labels = np.argmin(_sq_dists(x, centroids, xx), axis=1)
+        labels = _nearest(xa, _score_table(centroids))
         point_cost = np.sum((x - centroids[labels]) ** 2, axis=1)
         history.append(float(point_cost.sum()))
         if np.array_equal(labels, prev_labels):
@@ -249,8 +313,44 @@ def procrustes(a, b) -> np.ndarray:
     n, d = a.shape
     if n < d:
         raise DegenerateInput(f"procrustes: need n >= d, got n={n}, d={d}")
-    u, _, vt = np.linalg.svd(a.T @ b)
-    return u @ vt
+    with blas_threads(1):
+        u, _, vt = np.linalg.svd(a.T @ b)
+        return u @ vt
+
+
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the body with numpy's OpenBLAS on n threads, then restore the count.
+
+    A no-op when numpy does not bundle scipy-openblas (the symbol is missing).
+    """
+    fns = _openblas_threads()
+    if fns is None:
+        yield
+        return
+    get, set_ = fns
+    previous = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def percentiles(values, ps) -> np.ndarray:

@@ -1,15 +1,28 @@
 """Tests for the PCA / k-means / Procrustes / percentile kernels."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import listalign
 from listalign.errors import DegenerateInput, ShapeMismatch
 from listalign.linalg import (
     KmeansModel,
+    _cdf_draw,
+    _nearest,
+    _openblas_threads,
+    _score_table,
+    _sq_dists,
+    _with_ones,
+    blas_threads,
     kmeans_fit,
     kmeans_pp_seeds,
     kmeans_refine,
@@ -160,6 +173,86 @@ class TestKmeans:
         assert np.isfinite(m.centroids).all()
 
 
+class TestNearest:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        k=st.integers(min_value=1, max_value=12),
+        s=st.integers(min_value=1, max_value=6),
+        grid=st.booleans(),
+        duplicates=st.booleans(),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    # Integer grid: exact ties between distinct centroids and points on centroids.
+    @example(n=30, k=12, s=2, grid=True, duplicates=False, scale=1.0, seed=0)
+    @example(n=20, k=8, s=3, grid=False, duplicates=True, scale=1.0, seed=1)
+    @example(n=1, k=9, s=1, grid=True, duplicates=True, scale=1e-6, seed=0)
+    def test_property_agrees_with_squared_distances(self, n, k, s, grid, duplicates, scale, seed):
+        '''The folded score picks a nearest centroid up to rounding, ties to the lowest index.'''
+        rng = np.random.default_rng(seed)
+        def draw(size):
+            return rng.integers(-2, 3, size=size).astype(float) if grid else rng.normal(size=size)
+
+        x, c = draw((n, s)) * scale, draw((k, s)) * scale
+        if duplicates:  # every centroid appears twice, the copies after the originals
+            c = np.concatenate([c, c])
+        picked = _nearest(_with_ones(x), _score_table(c))
+        ref = np.argmin(_sq_dists(x, c, np.sum(x * x, axis=1)), axis=1)
+        assert picked.shape == (n,)
+        direct = np.sum((x[:, None, :] - c[None, :, :]) ** 2, axis=2)
+        rows = np.arange(n)
+        for i in np.flatnonzero(picked != ref):
+            bound = 1e-12 * (x[i] @ x[i] + max(c[picked[i]] @ c[picked[i]], c[ref[i]] @ c[ref[i]]))
+            assert abs(direct[i, picked[i]] - direct[i, ref[i]]) <= bound
+        if grid and scale == 1.0:  # small integers: scores are exact, so ties go to the lowest index
+            best = direct.min(axis=1)
+            np.testing.assert_array_equal(picked, np.argmax(direct == best[:, None], axis=1))
+            np.testing.assert_array_equal(direct[rows, picked], best)
+
+    def test_stacked_matches_each_slice(self):
+        rng = np.random.default_rng(3)
+        x, c = rng.normal(size=(4, 9, 3)), rng.normal(size=(4, 5, 3))
+        stacked = _nearest(_with_ones(x), _score_table(c))
+        for j in range(4):
+            np.testing.assert_array_equal(stacked[j], _nearest(_with_ones(x[j]), _score_table(c[j])))
+
+
+class TestCdfDraw:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=5),
+        n=st.integers(min_value=1, max_value=40),
+        zero_frac=st.floats(min_value=0.0, max_value=0.9),
+        dead_rows=st.lists(st.booleans(), min_size=5, max_size=5),
+        hit=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @example(m=3, n=12, zero_frac=0.6, dead_rows=[False, True, False, False, False],
+             hit=True, seed=0)
+    @example(m=1, n=1, zero_frac=0.0, dead_rows=[False] * 5, hit=True, seed=1)
+    def test_property_matches_normalised_count(self, m, n, zero_frac, dead_rows, hit, seed):
+        '''Binary search equals counting the normalised CDF, exact hits and flat runs included.'''
+        rng = np.random.default_rng(seed)
+        d2 = rng.exponential(size=(m, n)) * (rng.random((m, n)) >= zero_frac)
+        d2[np.arange(m), rng.integers(n, size=m)] += 1.0  # every live row has mass
+        d2[np.asarray(dead_rows[:m])] = 0.0  # an all-zero block: NaN CDF
+        total = d2.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cdf = np.cumsum(d2 / total[:, None], axis=1)
+            normalised = cdf / cdf[:, -1:]
+        u = rng.random(m)
+        if hit:  # u equal to a CDF value, often one repeated along a flat run
+            pick = normalised[np.arange(m), rng.integers(n, size=m)]
+            u = np.where(np.isfinite(pick) & (pick < 1.0), pick, u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cdf_draw(cdf, u)
+        with np.errstate(invalid="ignore"):
+            want = np.count_nonzero(normalised <= u[:, None], axis=1)
+        np.testing.assert_array_equal(got, want)
+
+
 def _sequential_plus_plus(x, k, seed):
     """Reference k-means++: one block, one distance pass and rng.choice draw per seed."""
 
@@ -233,6 +326,46 @@ class TestKmeansPpSeeds:
 # Procrustes
 # ---------------------------------------------------------------------------
 
+# Scripts run in a fresh process, because OpenBLAS reads OPENBLAS_NUM_THREADS
+# when numpy loads; each prints the sha256 of what it computed.
+CASES = {
+    "procrustes": """
+        import hashlib
+        import numpy as np
+        from listalign.linalg import procrustes
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(1300, 1280)), rng.normal(size=(1300, 1280))
+        print(hashlib.sha256(procrustes(a, b).tobytes()).hexdigest())
+    """,
+    "quantize": """
+        import hashlib, json
+        import numpy as np
+        from listalign import cli, codec
+        x = np.random.default_rng(7).normal(size=(400, 120))
+        codec.save_embeddings("table.emb", x)
+        with open("codec.json", "w") as fh:
+            json.dump({"codec": {"kind": "opq", "m": 16, "k": 32, "rotated_dim": 128,
+                                 "outer_iters": 2, "kmeans_iters": 3}}, fh)
+        assert cli.main(["quantize", "--config", "codec.json", "--emb", "table.emb",
+                         "--out", "q", "--quiet"]) == 0
+        for name in ("codec.blc", "codes.emb", "percentiles.json"):
+            with open("q/" + name, "rb") as fh:
+                print(name, hashlib.sha256(fh.read()).hexdigest())
+    """,
+}
+
+
+def _run_hashed(script, workdir, threads):
+    workdir.mkdir()
+    package_root = str(Path(listalign.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], capture_output=True,
+                          text=True, cwd=workdir, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestProcrustes:
     def test_recovers_planted_rotation(self):
         rng = np.random.default_rng(11)
@@ -258,6 +391,24 @@ class TestProcrustes:
         for _ in range(50):
             q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
             assert best <= np.linalg.norm(a @ q - b) + 1e-9
+
+    def test_blas_threads_pins_then_restores(self):
+        fns = _openblas_threads()
+        if fns is None:
+            pytest.skip("numpy does not bundle scipy-openblas; blas_threads is a no-op")
+        get, _ = fns
+        before = get()
+        with pytest.raises(RuntimeError):
+            with blas_threads(1):
+                assert get() == 1
+                raise RuntimeError
+        assert get() == before
+
+    @pytest.mark.parametrize("case", ["procrustes", "quantize"])
+    def test_bytes_independent_of_blas_thread_count(self, tmp_path, case):
+        '''A 1300x1280 Procrustes solve and an OPQ quantize hash the same at 1 and 2 threads.'''
+        digests = [_run_hashed(CASES[case], tmp_path / f"t{t}", t) for t in (1, 2)]
+        assert digests[0] == digests[1]
 
     def test_shape_checks(self):
         with pytest.raises(ShapeMismatch):
