@@ -1,11 +1,12 @@
 """Command-line pipeline: gen, train, quantize, eval, search, report.
 
-Exit codes by failure domain: 0 success, 2 configuration or input-path
-problems (including a corrupt or truncated input file), 3 training failures,
-4 codec failures, 5 evaluation failures, 6 search failures (including unknown
-listing ids and an unreadable --model). Artifacts are written atomically and
-contain no timestamps, so a rerun with the same inputs produces byte-identical
-files.
+Exit codes follow one rule, applied in ``main`` alone: 0 success; 2 for a
+ConfigError or any OSError (a bad config, argument, or input or output path,
+including a corrupt or truncated input file and a missing --model); otherwise
+the failing stage's own code: 3 train, 4 quantize, 5 eval and report, 6 search
+(an unknown listing id, or a corrupt or truncated search --model), 1 gen.
+Artifacts are written atomically and contain no timestamps, so a rerun with
+the same inputs produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -32,9 +33,17 @@ def _say(args, message: str) -> None:
 
 
 def _load_cfg(args) -> PipelineConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return load_pipeline_config(args.config)
     return PipelineConfig()
+
+
+def _read_input(load, path: str, what: str):
+    """load(path), with an unreadable or corrupt file reported as a ConfigError."""
+    try:
+        return load(path)
+    except (OSError, CorruptFile) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}")
 
 
 def _load_split_dirs(data_dir: str):
@@ -44,7 +53,7 @@ def _load_split_dirs(data_dir: str):
         train = synth.load_dataset(train_dir)
         holdout = synth.load_dataset(holdout_dir)
         gcfg = synth.load_generator_config(train_dir)
-    except (FileNotFoundError, NotADirectoryError, CorruptFile) as exc:
+    except (OSError, CorruptFile) as exc:
         raise ConfigError(f"cannot read dataset under {data_dir}: {exc}")
     return train, holdout, gcfg
 
@@ -143,13 +152,7 @@ def cmd_train(args) -> int:
 
     ps = modelmod.init_set_encoder(cfg.set_encoder_config(), seed=cfg.init_seed)
     te = modelmod.init_text_tower(cfg.text_tower_config(), seed=cfg.init_seed + 1)
-    try:
-        result = align.train(train_recs, holdout_recs, ps, te, cfg.loss, schedule)
-    except ConfigError:
-        raise
-    except ListalignError as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
-        return 3
+    result = align.train(train_recs, holdout_recs, ps, te, cfg.loss, schedule)
 
     os.makedirs(args.out, exist_ok=True)
     # the loss scalars ride along in the checkpoint payload under their own names
@@ -181,20 +184,11 @@ def cmd_quantize(args) -> int:
         settings = dataclasses.replace(settings, kind=args.kind)
     if args.seed is not None:
         settings = dataclasses.replace(settings, seed=args.seed)
-    try:
-        x = codecmod.load_embeddings(args.emb)
-    except (FileNotFoundError, CorruptFile) as exc:
-        raise ConfigError(f"cannot read embeddings: {exc}")
-    try:
-        trained = codecmod.train_codec(settings, x)
-        block = codecmod.encode(trained, x)
-        x_hat = codecmod.decode(trained, block)
-        report = codecmod.compression_report(x, x_hat)
-    except ConfigError:
-        raise
-    except ListalignError as exc:
-        print(f"quantization failed: {exc}", file=sys.stderr)
-        return 4
+    x = _read_input(codecmod.load_embeddings, args.emb, "embeddings")
+    trained = codecmod.train_codec(settings, x)
+    block = codecmod.encode(trained, x)
+    x_hat = codecmod.decode(trained, block)
+    report = codecmod.compression_report(x, x_hat)
 
     os.makedirs(args.out, exist_ok=True)
     codecmod.save_codec(os.path.join(args.out, "codec.blc"), trained)
@@ -226,46 +220,36 @@ def _mean_ndcg(tx_emb, ps_emb, ids, query_rows, depth: int) -> float:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
     train_recs, holdout_recs, _ = _load_split_dirs(args.data)
-    try:
-        ps, te, _extra = modelmod.load_checkpoint(args.model)
-    except (FileNotFoundError, CorruptFile) as exc:
-        raise ConfigError(f"cannot read checkpoint: {exc}")
+    ps, te, _extra = _read_input(modelmod.load_checkpoint, args.model, "checkpoint")
 
     everything = train_recs + holdout_recs
     n = len(everything)
-    try:
-        ps_emb, tx_emb = _encode_records(ps, te, everything)
-        query_rows = np.arange(len(train_recs), n)
-        ks = _clamp_ks(_parse_int_list(args.ks, "--ks") if args.ks else (1, 5, 10), n)
-        metrics = evalmod.retrieval_metrics(tx_emb, ps_emb, ks=ks, query_indices=query_rows)
-        ids = [r.id for r in everything]
-        depth = min(10, n)
-        retrieval = dict(metrics.as_dict())
-        retrieval[f"ndcg_t2i@{depth}"] = _mean_ndcg(tx_emb, ps_emb, ids, query_rows, depth)
+    ps_emb, tx_emb = _encode_records(ps, te, everything)
+    query_rows = np.arange(len(train_recs), n)
+    ks = _clamp_ks(_parse_int_list(args.ks, "--ks") if args.ks else (1, 5, 10), n)
+    metrics = evalmod.retrieval_metrics(tx_emb, ps_emb, ks=ks, query_indices=query_rows)
+    ids = [r.id for r in everything]
+    depth = min(10, n)
+    retrieval = dict(metrics.as_dict())
+    retrieval[f"ndcg_t2i@{depth}"] = _mean_ndcg(tx_emb, ps_emb, ids, query_rows, depth)
 
-        probe = {}
-        k_probe = min(10, len(train_recs))
-        train_ps = ps_emb[: len(train_recs)]
-        hold_ps = ps_emb[len(train_recs) :]
-        for attr in synth.ATTRIBUTE_NAMES:
-            tr_labels = [r.attributes[attr] for r in train_recs]
-            ho_labels = [r.attributes[attr] for r in holdout_recs]
-            probe[attr] = evalmod.knn_probe(train_ps, tr_labels, hold_ps, ho_labels, k=k_probe)
+    probe = {}
+    k_probe = min(10, len(train_recs))
+    train_ps = ps_emb[: len(train_recs)]
+    hold_ps = ps_emb[len(train_recs) :]
+    for attr in synth.ATTRIBUTE_NAMES:
+        tr_labels = [r.attributes[attr] for r in train_recs]
+        ho_labels = [r.attributes[attr] for r in holdout_recs]
+        probe[attr] = evalmod.knn_probe(train_ps, tr_labels, hold_ps, ho_labels, k=k_probe)
 
-        sweep = []
-        if args.sweep:
-            dims = _parse_int_list(args.sweep, "--sweep")
-            sweep = evalmod.pca_dim_sweep(
-                tx_emb, ps_emb, dims=dims, ks=ks,
-                query_indices=query_rows, quantize=args.quantize_sweep,
-            )
-    except ConfigError:
-        raise
-    except ListalignError as exc:
-        print(f"evaluation failed: {exc}", file=sys.stderr)
-        return 5
+    sweep = []
+    if args.sweep:
+        dims = _parse_int_list(args.sweep, "--sweep")
+        sweep = evalmod.pca_dim_sweep(
+            tx_emb, ps_emb, dims=dims, ks=ks,
+            query_indices=query_rows, quantize=args.quantize_sweep,
+        )
 
     report = evalmod.EvalReport(retrieval=retrieval, probe=probe, sweep=sweep)
     atomic_write_text(args.out, report.to_json() + "\n")
@@ -292,35 +276,21 @@ def cmd_eval(args) -> int:
 def cmd_search(args) -> int:
     if args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
-    try:
-        train_recs, holdout_recs, _ = _load_split_dirs(args.data)
-        ps, te, _extra = modelmod.load_checkpoint(args.model)
-    except ConfigError:
-        raise
-    except (ListalignError, FileNotFoundError) as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
-        return 6
+    train_recs, holdout_recs, _ = _load_split_dirs(args.data)
+    # a missing --model is an OSError (exit 2), a corrupt one a search failure
+    ps, te, _extra = modelmod.load_checkpoint(args.model)
 
     everything = train_recs + holdout_recs
     ids = np.array([r.id for r in everything])
-    try:
-        row_by_id = {r.id: i for i, r in enumerate(everything)}
-        if args.query_id not in row_by_id:
-            raise UnknownId(f"no listing with id {args.query_id}")
-        row = row_by_id[args.query_id]
-        ps_emb, tx_emb = _encode_records(ps, te, everything)
-        gallery = _multimodal_rows(ps_emb, tx_emb)
-        if args.modality == "photo":
-            query = ps_emb[row]
-        elif args.modality == "text":
-            query = tx_emb[row]
-        else:
-            query = gallery[row]
-        scores = gallery @ query
-        order = np.lexsort((ids, -scores))
-    except ListalignError as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
-        return 6
+    row_by_id = {r.id: i for i, r in enumerate(everything)}
+    if args.query_id not in row_by_id:
+        raise UnknownId(f"no listing with id {args.query_id}")
+    row = row_by_id[args.query_id]
+    ps_emb, tx_emb = _encode_records(ps, te, everything)
+    gallery = _multimodal_rows(ps_emb, tx_emb)
+    query = {"photo": ps_emb, "text": tx_emb, "multimodal": gallery}[args.modality][row]
+    scores = gallery @ query
+    order = np.lexsort((ids, -scores))
 
     for i in order[: args.top]:
         print(f"{ids[i]} {scores[i]:.6f}")
@@ -336,9 +306,8 @@ def cmd_report(args) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 report = evalmod.EvalReport.from_json(fh.read())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read report {path}: {exc}", file=sys.stderr)
-            return 5
+        except (OSError, ValueError, RecursionError) as exc:  # deep nesting: RecursionError
+            raise ListalignError(f"cannot read report {path}: {exc}")
         print(f"== {path} ==")
         for key in sorted(report.retrieval):
             value = report.retrieval[key]
@@ -365,9 +334,10 @@ def cmd_report(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, out_required: bool = True):
-    sp.add_argument("--config", help="pipeline config JSON")
-    sp.add_argument("--seed", type=int, default=None, help="override the stage seed")
+def _add_common(sp, out_required: bool = True, config: bool = True):
+    if config:
+        sp.add_argument("--config", help="pipeline config JSON")
+        sp.add_argument("--seed", type=int, default=None, help="override the stage seed")
     sp.add_argument("--quiet", action="store_true", help="suppress progress output")
     if out_required:
         sp.add_argument("--out", required=True, help="output directory or file")
@@ -382,21 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate, filter, and split a synthetic dataset")
     _add_common(p)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, failed=("error", 1))
 
     p = sub.add_parser("train", help="train the two towers on a generated dataset")
     _add_common(p)
     p.add_argument("--data", required=True, help="directory produced by gen")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, failed=("training failed", 3))
 
     p = sub.add_parser("quantize", help="fit a codec to an embedding file")
     _add_common(p)
     p.add_argument("--emb", required=True, help="embedding file to compress")
     p.add_argument("--kind", choices=tuple(codecmod.KINDS), help="codec family")
-    p.set_defaults(func=cmd_quantize)
+    p.set_defaults(func=cmd_quantize, failed=("quantization failed", 4))
 
     p = sub.add_parser("eval", help="retrieval metrics, probes, and sweeps")
-    _add_common(p)
+    _add_common(p, config=False)
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--ks", help="comma-separated recall cutoffs, default 1,5,10")
@@ -404,21 +374,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-csv", help="also write the sweep as CSV here")
     p.add_argument("--quantize-sweep", action="store_true",
                    help="round-trip sweep projections through the 8-bit codec")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, failed=("evaluation failed", 5))
 
     p = sub.add_parser("search", help="nearest listings for a query listing")
-    _add_common(p, out_required=False)
+    _add_common(p, out_required=False, config=False)
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--query-id", type=int, required=True)
     p.add_argument("--modality", choices=("photo", "text", "multimodal"), default="multimodal")
     p.add_argument("--top", type=int, default=10)
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(func=cmd_search, failed=("search failed", 6))
 
     p = sub.add_parser("report", help="pretty-print saved evaluation reports")
     p.add_argument("paths", nargs="+", help="report JSON files")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, failed=("report failed", 5))
 
     return parser
 
@@ -431,9 +401,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"path error: {exc}", file=sys.stderr)
+        return 2
     except ListalignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        label, code = args.failed
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -9,12 +9,13 @@ scores never flatter recall.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import codec as codecmod
-from .errors import DegenerateInput, ShapeMismatch
+from .errors import CorruptFile, DegenerateInput, ShapeMismatch
 from .linalg import pca_fit
 
 __all__ = [
@@ -224,10 +225,32 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
+        """Parse a saved report; JSON not shaped like one raises CorruptFile."""
         raw = json.loads(text)
-        return cls(
-            retrieval=raw.get("retrieval", {}),
-            probe=raw.get("probe", {}),
-            sweep=raw.get("sweep", []),
-            compression=raw.get("compression"),
-        )
+        if not isinstance(raw, dict):
+            raise CorruptFile("report is not a JSON object")
+        report = cls(raw.get("retrieval", {}), raw.get("probe", {}), raw.get("sweep", []), raw.get("compression"))
+        if not (isinstance(report.retrieval, dict) and isinstance(report.probe, dict)
+                and all(_real(v) for v in report.probe.values())):
+            raise CorruptFile("report retrieval and probe must be objects, with numbers as probe values")
+        for key, table in report.retrieval.items():
+            if isinstance(table, dict) and not all(_int_text(k) and _real(v) for k, v in table.items()):
+                raise CorruptFile(f"report retrieval {key!r} must map integer cutoffs to numbers")
+        if not isinstance(report.sweep, list) or not all(
+                isinstance(row, dict) and {"dim", "quantized", "mean_rank_t2i"} <= row.keys()
+                and _real(row["mean_rank_t2i"]) for row in report.sweep):
+            raise CorruptFile("report sweep must be a list of rows with dim, quantized and mean_rank_t2i")
+        return report
+
+
+def _int_text(key: str) -> bool:
+    try:
+        int(key)
+    except ValueError:
+        return False
+    return True
+
+
+def _real(value) -> bool:
+    """True for a JSON number that formats as a float."""
+    return isinstance(value, float) or (isinstance(value, int) and abs(value) <= sys.float_info.max)

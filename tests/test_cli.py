@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import listalign
 from listalign import codec as codecmod, config as configmod, synth
@@ -451,6 +453,109 @@ def test_eval_missing_checkpoint_exits_2(workspace, tmp_path):
 
 def test_report_missing_file_exits_5(tmp_path):
     assert main(["report", str(tmp_path / "missing.json")]) == 5
+
+
+@pytest.mark.parametrize("case", [
+    "quantize --emb dir", "eval --model dir", "search --model dir", "search --model missing",
+    "train index dir", "eval index dir", "search index dir", "eval --out dir",
+])
+def test_directory_or_missing_path_exits_2(workspace, tmp_path, capsys, case):
+    data, ckpt = str(workspace["data"]), str(workspace["run"] / "checkpoint.blm")
+    if case.endswith("index dir"):
+        data = str(tmp_path / "data")
+        shutil.copytree(workspace["data"], data)
+        bad = tmp_path / "data" / "train" / "dataset.jsonl"
+        bad.unlink()
+        bad.mkdir()
+    else:
+        bad = tmp_path / ("nope.blm" if case.endswith("missing") else "dir")
+        if not case.endswith("missing"):
+            bad.mkdir()
+    argv = {
+        "quantize --emb dir": ["quantize", "--emb", str(bad), "--out", str(tmp_path / "q")],
+        "eval --model dir": ["eval", "--data", data, "--model", str(bad), "--out", str(tmp_path / "r.json")],
+        "search --model dir": ["search", "--data", data, "--model", str(bad), "--query-id", "0"],
+        "search --model missing": ["search", "--data", data, "--model", str(bad), "--query-id", "0"],
+        "train index dir": ["train", "--data", data, "--out", str(tmp_path / "run")],
+        "eval index dir": ["eval", "--data", data, "--model", ckpt, "--out", str(tmp_path / "r.json")],
+        "search index dir": ["search", "--data", data, "--model", ckpt, "--query-id", "0"],
+        "eval --out dir": ["eval", "--data", data, "--model", ckpt, "--out", str(bad)],
+    }[case]
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    assert str(bad) in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("stage, flag", [
+    ("eval", "--config"), ("eval", "--seed"), ("search", "--config"), ("search", "--seed"),
+])
+def test_eval_and_search_take_no_config_or_seed(workspace, tmp_path, stage, flag):
+    argv = {
+        "eval": ["--out", str(tmp_path / "r.json")],
+        "search": ["--query-id", "0"],
+    }[stage]
+    value = str(workspace["config"]) if flag == "--config" else "1"
+    with pytest.raises(SystemExit) as info:
+        main([stage, "--data", str(workspace["data"]), "--model", str(workspace["run"] / "checkpoint.blm"),
+              *argv, flag, value, "--quiet"])
+    assert info.value.code == 2
+
+
+def _write_report(path, content):
+    path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    return path
+
+
+BAD_REPORTS = {
+    "list": [],
+    "string-retrieval": {"retrieval": "abc"},
+    "int-sweep-row": {"sweep": [1]},
+    "not-utf8": b"\xff\xfe{}",
+    "list-probe": {"probe": [0.5]},
+    "string-probe-value": {"probe": {"capacity_bucket": "high"}},
+    "non-integer-cutoff": {"retrieval": {"recall_t2i": {"top": 0.5}}},
+    "string-recall": {"retrieval": {"recall_t2i": {"1": "all"}}},
+    "huge-recall": {"retrieval": {"recall_t2i": {"1": 10 ** 400}}},
+    "sweep-object": {"sweep": {"dim": 2}},
+    "sweep-row-without-rank": {"sweep": [{"dim": 2, "quantized": False}]},
+    "deep-nesting": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_REPORTS))
+def test_malformed_report_exits_5(tmp_path, capsys, case):
+    path = _write_report(tmp_path / "r.json", BAD_REPORTS[case])
+    assert main(["report", str(path)]) == 5
+    out, err = capsys.readouterr()
+    assert f"report failed: cannot read report {path}" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_report_directory_exits_5(tmp_path, capsys):
+    assert main(["report", str(tmp_path)]) == 5
+    assert "report failed: cannot read report" in capsys.readouterr().err
+
+
+REPORT_WORDS = st.sampled_from(
+    ["retrieval", "probe", "sweep", "compression", "recall_t2i", "dim", "quantized", "mean_rank_t2i", "1", "05"]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | REPORT_WORDS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(REPORT_WORDS | st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_report_on_any_json_exits_0_or_5(tmp_path_factory, value):
+    path = _write_report(tmp_path_factory.mktemp("report") / "r.json", value)
+    assert main(["report", str(path)]) in (0, 5)
 
 
 def test_module_entry_point_help(tmp_path):
