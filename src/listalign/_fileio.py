@@ -3,7 +3,8 @@
 All multi-byte fields are little-endian. Writes are atomic: the payload goes to a
 temporary file in the destination directory which is then renamed over the target,
 so a crash never leaves a half-written artifact behind. Float arrays are float32 on
-disk and float64 in memory.
+disk and float64 in memory, with one exception: an encoded gallery (``gallery.py``)
+stores float64, because it must reproduce a fresh encode bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import os
 import struct
 import tempfile
+import zlib
 
 import numpy as np
 
@@ -49,6 +51,11 @@ def pack_u64(value: int) -> bytes:
     return struct.pack("<Q", value)
 
 
+def with_crc32(data: bytes) -> bytes:
+    """data followed by its u32 zlib.crc32, the trailer a checksum Reader checks."""
+    return data + pack_u32(zlib.crc32(data))
+
+
 def pack_f32(a) -> bytes:
     """Little-endian float32 bytes of a's float64 values, in C order."""
     return np.ascontiguousarray(np.asarray(a, dtype=np.float64), dtype="<f4").tobytes()
@@ -58,14 +65,20 @@ class Reader:
     """Cursor over a container file, positioned after its 8-byte magic.
 
     A wrong magic, a read past the end of the file or bytes left over after
-the payload (see end) raise CorruptFile.
+    the payload (see end) raise CorruptFile. With checksum, the file ends in a
+    u32 zlib.crc32 of every byte before it (see with_crc32); a mismatch raises
+    CorruptFile and the payload excludes the trailer.
     """
 
-    def __init__(self, path: str, magic: bytes):
+    def __init__(self, path: str, magic: bytes, checksum: bool = False):
         with open(path, "rb") as fh:
             self.buf = fh.read()
         if self.buf[:8] != magic:
             raise CorruptFile(f"{path}: bad magic, expected {magic!r}")
+        if checksum:  # the magic matched, so the file holds at least 8 bytes
+            self.buf, trailer = self.buf[:-4], self.buf[-4:]
+            if zlib.crc32(self.buf) != int.from_bytes(trailer, "little"):
+                raise CorruptFile(f"{path}: checksum mismatch")
         self.path = path
         self.off = 8
 
@@ -89,6 +102,14 @@ the payload (see end) raise CorruptFile.
         """A float32 array of the given shape, widened to float64."""
         chunk = self.raw(4 * math.prod(shape))
         return np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
+
+    def i64(self, n: int) -> np.ndarray:
+        return np.frombuffer(self.raw(8 * n), dtype="<i8").astype(np.int64)
+
+    def f64(self, shape) -> np.ndarray:
+        """A float64 array of the given shape, copied out of the file buffer."""
+        chunk = self.raw(8 * math.prod(shape))
+        return np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
 
     def end(self) -> None:
         """Check that the payload has been read to the last byte."""

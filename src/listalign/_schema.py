@@ -31,7 +31,7 @@ def load_json(path: str):
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:  # a directory, no permission, a read error
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 

@@ -6,7 +6,9 @@ including a corrupt or truncated input file and a missing --model); otherwise
 the failing stage's own code: 3 train, 4 quantize, 5 eval and report, 6 search
 (an unknown listing id, or a corrupt or truncated search --model), 1 gen.
 Artifacts are written atomically and contain no timestamps, so a rerun with
-the same inputs produces byte-identical files.
+the same inputs produces byte-identical files. ``train`` also writes the
+encoded gallery beside its checkpoint; ``search`` and ``eval`` read it instead
+of encoding when its content key matches their inputs (see gallery.py).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import align, codec as codecmod, eval as evalmod, model as modelmod, synth
+from . import align, codec as codecmod, eval as evalmod, gallery as gallerymod, model as modelmod, synth
 from ._fileio import atomic_write_text
 from .config import PipelineConfig, load_pipeline_config, resolved_dict
 from .errors import ConfigError, CorruptFile, ListalignError, UnknownId
@@ -56,13 +58,6 @@ def _load_split_dirs(data_dir: str):
     except (OSError, CorruptFile) as exc:
         raise ConfigError(f"cannot read dataset under {data_dir}: {exc}")
     return train, holdout, gcfg
-
-
-def _encode_records(ps, te, records):
-    photos, counts = synth.pack_photos(records)
-    ps_emb = modelmod.encode_photoset_batch(ps, photos, counts)
-    tx_emb = modelmod.encode_text(te, synth.pack_texts(records))
-    return ps_emb, tx_emb
 
 
 def _multimodal_rows(ps_emb: np.ndarray, tx_emb: np.ndarray) -> np.ndarray:
@@ -157,14 +152,11 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     # the loss scalars ride along in the checkpoint payload under their own names
     loss_extra = {name: var.value for name, var in result.loss_params.named()}
-    modelmod.save_checkpoint(
-        os.path.join(args.out, "checkpoint.blm"),
-        result.ps,
-        result.te,
-        extra=loss_extra,
-    )
+    checkpoint = os.path.join(args.out, "checkpoint.blm")
+    modelmod.save_checkpoint(checkpoint, result.ps, result.te, extra=loss_extra)
     result.log.save_jsonl(os.path.join(args.out, "trainlog.jsonl"))
     result.log.save_epoch_csv(os.path.join(args.out, "epochs.csv"))
+    gallerymod.write_beside(checkpoint, args.data, train_recs + holdout_recs)
     if result.log.epochs:
         last = result.log.epochs[-1]
         summary = " ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}" for k, v in last.items())
@@ -220,12 +212,16 @@ def _mean_ndcg(tx_emb, ps_emb, ids, query_rows, depth: int) -> float:
 
 
 def cmd_eval(args) -> int:
+    # the probes need the records' attributes, so the dataset loads either way
     train_recs, holdout_recs, _ = _load_split_dirs(args.data)
-    ps, te, _extra = _read_input(modelmod.load_checkpoint, args.model, "checkpoint")
-
     everything = train_recs + holdout_recs
     n = len(everything)
-    ps_emb, tx_emb = _encode_records(ps, te, everything)
+    hit = gallerymod.cached(args.model, args.data)
+    if hit is None:
+        ps, te, _extra = _read_input(modelmod.load_checkpoint, args.model, "checkpoint")
+        ps_emb, tx_emb = gallerymod.encode_records(ps, te, everything)
+    else:
+        ps_emb, tx_emb = hit.photo, hit.text
     query_rows = np.arange(len(train_recs), n)
     ks = _clamp_ks(_parse_int_list(args.ks, "--ks") if args.ks else (1, 5, 10), n)
     metrics = evalmod.retrieval_metrics(tx_emb, ps_emb, ks=ks, query_indices=query_rows)
@@ -276,17 +272,24 @@ def cmd_eval(args) -> int:
 def cmd_search(args) -> int:
     if args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
-    train_recs, holdout_recs, _ = _load_split_dirs(args.data)
-    # a missing --model is an OSError (exit 2), a corrupt one a search failure
-    ps, te, _extra = modelmod.load_checkpoint(args.model)
+    hit = gallerymod.cached(args.model, args.data)
+    if hit is None:
+        train_recs, holdout_recs, _ = _load_split_dirs(args.data)
+        # a missing --model is an OSError (exit 2), a corrupt one a search failure
+        ps, te, _extra = modelmod.load_checkpoint(args.model)
+        everything = train_recs + holdout_recs
+        ids = np.array([r.id for r in everything])
+    else:
+        ids = hit.ids
 
-    everything = train_recs + holdout_recs
-    ids = np.array([r.id for r in everything])
-    row_by_id = {r.id: i for i, r in enumerate(everything)}
+    row_by_id = {listing: i for i, listing in enumerate(ids.tolist())}
     if args.query_id not in row_by_id:
         raise UnknownId(f"no listing with id {args.query_id}")
     row = row_by_id[args.query_id]
-    ps_emb, tx_emb = _encode_records(ps, te, everything)
+    if hit is None:
+        ps_emb, tx_emb = gallerymod.encode_records(ps, te, everything)
+    else:
+        ps_emb, tx_emb = hit.photo, hit.text
     gallery = _multimodal_rows(ps_emb, tx_emb)
     query = {"photo": ps_emb, "text": tx_emb, "multimodal": gallery}[args.modality][row]
     scores = gallery @ query

@@ -440,7 +440,7 @@ def _read_header(r: Reader):
             if type(name) is not str:
                 raise ConfigError("manifest names must be strings")
             manifest.append((name, tuple(_int_list(shape, f"shape of {name}"))))
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError, ConfigError) as exc:
         raise CorruptFile(f"{r.path}: malformed checkpoint header: {exc}") from None
     return ps, te, frozen, manifest
 

@@ -323,7 +323,7 @@ def _index_entry(line: str, row: int, p_max: int, where: str) -> dict:
     """One JSONL line, checked to be exactly what save_dataset writes for row."""
     try:
         meta = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CorruptFile(f"{where}: not JSON: {exc}") from None
     if not isinstance(meta, dict) or sorted(meta) != list(_INDEX_KEYS):
         raise CorruptFile(f"{where}: expected an object with keys {', '.join(_INDEX_KEYS)}")

@@ -287,7 +287,7 @@ def _run_pipeline(root):
     files = [
         data / "train" / "dataset.jsonl", data / "train" / "photos.emb",
         data / "train" / "text.emb", data / "filter_stats.json",
-        run / "checkpoint.blm", run / "trainlog.jsonl", run / "epochs.csv",
+        run / "checkpoint.blm", run / "trainlog.jsonl", run / "epochs.csv", run / "gallery.blg",
         quant / "codec.blc", quant / "codes.emb", quant / "percentiles.json",
         report,
     ]

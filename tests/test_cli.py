@@ -413,6 +413,37 @@ def test_config_directory_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+DEEP_JSON = "[" * 100000  # nested past the recursion limit of Python's JSON parser
+
+
+@pytest.mark.parametrize("case, code", [
+    ("gen --config", 2), ("train index line", 2), ("eval header", 2), ("search header", 6),
+])
+def test_deeply_nested_json_exits_without_traceback(workspace, tmp_path, capsys, case, code):
+    data, out_path = workspace["data"], tmp_path / "out"
+    if case == "gen --config":
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_JSON)
+        argv = ["gen", "--config", str(deep), "--out", str(out_path)]
+    elif case == "train index line":
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        _edit_index_line(lambda m: DEEP_JSON)(data / "train")
+        argv = ["train", "--data", str(data), "--out", str(out_path)]
+    else:  # a checkpoint whose JSON header is the deep nest
+        ckpt = tmp_path / "deep.blm"
+        ckpt.write_bytes(b"BLMODEL1" + len(DEEP_JSON).to_bytes(4, "little") + DEEP_JSON.encode())
+        stage = case.split()[0]
+        tail = ["--out", str(out_path)] if stage == "eval" else ["--query-id", "0"]
+        argv = [stage, "--data", str(data), "--model", str(ckpt), *tail]
+    assert main([*argv, "--quiet"]) == code
+    out, err = capsys.readouterr()
+    assert "maximum recursion depth" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not out_path.exists()
+
+
 def test_quantize_infeasible_codebook_exits_4(workspace, tmp_path):
     cfg = json.loads(workspace["config"].read_text())
     cfg["codec"] = {"kind": "pq", "m": 4, "k": 256, "iters": 5}  # k > n rows

@@ -1,0 +1,318 @@
+"""Encoded gallery: train writes gallery.blg, and search and eval reuse it only
+when its content key matches their inputs, with the uncached path's exact
+output otherwise."""
+
+import builtins
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+
+import numpy as np
+import pytest
+
+from listalign import cli, gallery, model, synth
+
+TINY_CONFIG = {
+    "generator": {
+        "n_listings": 40, "d_latent": 3, "d_photo": 6, "d_text": 5,
+        "p_max": 4, "photo_noise": 0.02, "text_noise": 0.02, "seed": 7,
+    },
+    "filters": {"min_photos": 1, "min_text_len": 10},
+    "split": {"holdout_fraction": 0.2, "seed": 1},
+    "set_encoder": {"d_model": 8, "n_layers": 1, "n_heads": 2, "d_out": 8},
+    "text_tower": {"hidden": [8]},
+    "schedule": {
+        "stages": [{"epochs": 2, "lr": 3e-3, "unfreeze_text_layers": [0, 1]}],
+        "batch_size": 8, "warmup_steps": 2, "eval_ks": [1, 2],
+    },
+}
+
+# 10 listings, 2-d embeddings: a 460-byte gallery, small enough to flip every bit
+SMALL_CONFIG = {
+    "generator": {"n_listings": 10, "d_latent": 2, "d_photo": 3, "d_text": 3, "p_max": 3, "seed": 3},
+    "filters": {"min_photos": 1, "min_text_len": 10},
+    "split": {"holdout_fraction": 0.2, "seed": 1},
+    "set_encoder": {"d_model": 2, "n_layers": 1, "n_heads": 1, "d_out": 2},
+    "text_tower": {"hidden": [2]},
+    "schedule": {"stages": [{"epochs": 1, "lr": 3e-3}], "batch_size": 4, "warmup_steps": 1,
+                 "eval_ks": [1]},
+}
+
+MODALITIES = ("photo", "text", "multimodal")
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _pipeline(root, config, seed=None):
+    root.mkdir(parents=True)
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(config))
+    seed_args = [] if seed is None else ["--seed", seed]
+    assert _cli("gen", "--config", cfg, "--out", root / "data", "--quiet")[0] == 0
+    assert _cli("train", "--config", cfg, "--data", root / "data", "--out", root / "run",
+                "--quiet", *seed_args)[0] == 0
+    return root / "data", root / "run"
+
+
+@pytest.fixture(scope="module")
+def pipe(tmp_path_factory):
+    root = tmp_path_factory.mktemp("gallery")
+    data, run = _pipeline(root / "main", TINY_CONFIG)
+    _, other = _pipeline(root / "other", TINY_CONFIG, seed=5)
+    records = synth.load_dataset(str(data / "train")) + synth.load_dataset(str(data / "holdout"))
+    return {"data": data, "run": run, "other": other, "ids": [r.id for r in records]}
+
+
+def _outcome(stage, data, ckpt, where, extra):
+    """(exit code, stdout, stderr, files written) of one stage run, paths masked."""
+    where.mkdir(parents=True)
+    argv = [stage, "--data", data, "--model", ckpt]
+    argv += [where / "sweep.csv" if a == "CSV" else a for a in extra]
+    if stage == "eval":
+        argv += ["--out", where / "report.json", "--quiet"]
+    code, out, err = _cli(*argv)
+    files = {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+    return code, out, err.replace(str(ckpt), "CKPT").replace(str(where), "OUT"), files
+
+
+def _hit_and_miss(stage, data, run, where, *extra):
+    """The stage against run/checkpoint.blm, and against a copy with no gallery beside it."""
+    cold = where / "cold" / "checkpoint.blm"
+    cold.parent.mkdir(parents=True)
+    shutil.copyfile(run / "checkpoint.blm", cold)
+    hit = _outcome(stage, data, run / "checkpoint.blm", where / "hit", extra)
+    miss = _outcome(stage, data, cold, where / "miss", extra)
+    return hit, miss
+
+
+def _copy_layout(pipe, where):
+    shutil.copytree(pipe["data"], where / "data")
+    shutil.copytree(pipe["run"], where / "run")
+    return where / "data", where / "run"
+
+
+# ---------------------------------------------------------------------------
+# what train writes
+# ---------------------------------------------------------------------------
+
+def test_train_writes_gallery_of_the_saved_checkpoint(pipe):
+    data, run = pipe["data"], pipe["run"]
+    key, stored = gallery.load_gallery(str(run / gallery.GALLERY_FILE))
+    assert key == gallery.content_key(str(run / "checkpoint.blm"), str(data))
+    records = synth.load_dataset(str(data / "train")) + synth.load_dataset(str(data / "holdout"))
+    ps, te, _ = model.load_checkpoint(str(run / "checkpoint.blm"))
+    photo, text = gallery.encode_records(ps, te, records)
+    assert stored.ids.tolist() == pipe["ids"]
+    assert stored.photo.dtype == np.float64 and np.array_equal(stored.photo, photo)
+    assert np.array_equal(stored.text, text)
+
+
+def test_gallery_file_layout(pipe):
+    raw = (pipe["run"] / gallery.GALLERY_FILE).read_bytes()
+    n, d = len(pipe["ids"]), TINY_CONFIG["set_encoder"]["d_out"]
+    assert raw[:8] == b"BLGAL001"
+    assert len(raw) == 8 + 32 + 16 + 8 * n + 2 * 8 * n * d + 4
+    assert np.frombuffer(raw[40:56], dtype="<i8").tolist() == [n, d]
+
+
+# ---------------------------------------------------------------------------
+# a hit gives the uncached output
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("modality", MODALITIES)
+def test_search_hit_equals_uncached(pipe, tmp_path, modality):
+    data, run, ids = pipe["data"], pipe["run"], pipe["ids"]
+    assert gallery.cached(str(run / "checkpoint.blm"), str(data)) is not None
+    cases = [(ids[0], 3), (ids[len(ids) // 2], 10), (ids[-1], len(ids) + 5)]
+    for j, (query, top) in enumerate(cases):
+        hit, miss = _hit_and_miss("search", data, run, tmp_path / str(j), "--query-id", query,
+                                  "--modality", modality, "--top", top)
+        assert hit[0] == 0 and hit[1].count("\n") == min(top, len(ids))
+        assert hit == miss
+
+
+@pytest.mark.parametrize("extra", [
+    (),
+    ("--sweep", "2,4,8"),
+    ("--sweep", "2,4", "--quantize-sweep", "--sweep-csv", "CSV", "--ks", "1,3"),
+])
+def test_eval_hit_equals_uncached(pipe, tmp_path, extra):
+    hit, miss = _hit_and_miss("eval", pipe["data"], pipe["run"], tmp_path, *extra)
+    assert hit[0] == 0 and "report.json" in hit[3]
+    assert hit == miss
+
+
+def test_search_unknown_id_on_a_hit_exits_6(pipe, tmp_path):
+    hit, miss = _hit_and_miss("search", pipe["data"], pipe["run"], tmp_path, "--query-id", 999999)
+    assert hit[0] == 6 and hit == miss
+
+
+def test_repeated_id_resolves_to_its_last_row(pipe, tmp_path):
+    data, run = _copy_layout(pipe, tmp_path)
+    index = data / "holdout" / "dataset.jsonl"
+    lines = index.read_text().splitlines()
+    first_id = json.loads(lines[0])["id"]
+    lines[-1] = json.dumps({**json.loads(lines[-1]), "id": first_id}, sort_keys=True)
+    index.write_text("\n".join(lines) + "\n")
+    records = synth.load_dataset(str(data / "train")) + synth.load_dataset(str(data / "holdout"))
+    gallery.write_beside(str(run / "checkpoint.blm"), str(data), records)
+    assert gallery.cached(str(run / "checkpoint.blm"), str(data)) is not None
+    for modality in MODALITIES:
+        hit, miss = _hit_and_miss("search", data, run, tmp_path / modality, "--query-id", first_id,
+                                  "--modality", modality)
+        assert hit[0] == 0 and hit == miss
+
+
+def test_ids_beyond_int64_train_without_a_gallery(pipe, tmp_path):
+    data, _ = _copy_layout(pipe, tmp_path)
+    index = data / "train" / "dataset.jsonl"
+    lines = index.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "id": 2**70}, sort_keys=True)
+    index.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    assert _cli("train", "--config", cfg, "--data", data, "--out", tmp_path / "big", "--quiet")[0] == 0
+    assert not (tmp_path / "big" / gallery.GALLERY_FILE).exists()
+    code, out, _ = _cli("search", "--data", data, "--model", tmp_path / "big" / "checkpoint.blm",
+                        "--query-id", 2**70)
+    assert code == 0 and out.startswith(f"{2**70} ")
+
+
+def test_hit_neither_parses_the_dataset_nor_encodes(pipe, tmp_path, monkeypatch):
+    data, run = pipe["data"], pipe["run"]
+    argv = ("--query-id", pipe["ids"][1], "--modality", "multimodal")
+    expected_search = _hit_and_miss("search", data, run, tmp_path / "s", *argv)[1]
+    expected_eval = _hit_and_miss("eval", data, run, tmp_path / "e", "--sweep", "2,4")[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gallery should have served this call")
+
+    for name in ("load_checkpoint", "encode_photoset_batch", "encode_text"):
+        monkeypatch.setattr(model, name, refuse)
+    # eval needs the records for its probes, so only search loses the dataset
+    assert _outcome("eval", data, run / "checkpoint.blm", tmp_path / "e2", ("--sweep", "2,4")) \
+        == expected_eval
+    monkeypatch.setattr(synth, "load_dataset", refuse)
+    assert _outcome("search", data, run / "checkpoint.blm", tmp_path / "s2", argv) == expected_search
+
+
+# ---------------------------------------------------------------------------
+# anything stale, corrupt or unreadable takes the uncached path
+# ---------------------------------------------------------------------------
+
+KEYED_FILES = ["run/checkpoint.blm"] + [f"data/{rel}" for rel in gallery.DATA_FILES]
+
+
+def test_keyed_files_are_the_files_the_cli_reads(pipe, monkeypatch):
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(os.path.relpath(path, pipe["data"]).replace(os.sep, "/"))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    cli._load_split_dirs(str(pipe["data"]))
+    assert sorted(opened) == sorted(gallery.DATA_FILES)
+    assert len(KEYED_FILES) == 10
+
+
+def _assert_uncached(data, run, where, query):
+    assert gallery.cached(str(run / "checkpoint.blm"), str(data)) is None
+    hit, miss = _hit_and_miss("search", data, run, where / "search", "--query-id", query, "--top", 40)
+    assert hit == miss
+    hit, miss = _hit_and_miss("eval", data, run, where / "eval", "--sweep", "2,4")
+    assert hit == miss
+
+
+@pytest.mark.parametrize("rel", KEYED_FILES)
+def test_one_changed_byte_in_any_keyed_file_misses(pipe, tmp_path, rel):
+    _copy_layout(pipe, tmp_path)
+    path = tmp_path / rel
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    path.write_bytes(bytes(raw))
+    _assert_uncached(tmp_path / "data", tmp_path / "run", tmp_path, pipe["ids"][0])
+
+
+def test_another_seeds_checkpoint_misses(pipe, tmp_path):
+    data, run = _copy_layout(pipe, tmp_path)
+    other = (pipe["other"] / "checkpoint.blm").read_bytes()
+    assert other != (run / "checkpoint.blm").read_bytes()
+    (run / "checkpoint.blm").write_bytes(other)
+    _assert_uncached(data, run, tmp_path, pipe["ids"][0])
+
+
+def test_bytes_moved_between_files_change_the_key(pipe, tmp_path):
+    data, run = _copy_layout(pipe, tmp_path)
+    photos, text = data / "train" / "photos.emb", data / "train" / "text.emb"
+    a, b = photos.read_bytes(), text.read_bytes()
+    photos.write_bytes(a[:-4])
+    text.write_bytes(a[-4:] + b)
+    assert gallery.content_key(str(run / "checkpoint.blm"), str(data)) != \
+        gallery.content_key(str(pipe["run"] / "checkpoint.blm"), str(pipe["data"]))
+
+
+@pytest.mark.parametrize("rel", ["run/gallery.blg", "data/holdout/latent.emb"])
+def test_missing_or_unreadable_input_misses(pipe, tmp_path, rel):
+    data, run = _copy_layout(pipe, tmp_path)
+    (tmp_path / rel).unlink()
+    (tmp_path / rel).mkdir()  # a directory: reading it is an OSError
+    _assert_uncached(data, run, tmp_path, pipe["ids"][0])
+
+
+def test_every_bit_flip_or_cut_of_a_small_gallery_misses(tmp_path):
+    data, run = _pipeline(tmp_path / "small", SMALL_CONFIG)
+    ckpt, path = run / "checkpoint.blm", run / gallery.GALLERY_FILE
+    raw = path.read_bytes()
+    assert len(raw) == 460 and gallery.cached(str(ckpt), str(data)) is not None
+    expected = _hit_and_miss("search", data, run, tmp_path / "ref", "--query-id", 1)[1]
+    misses = 0
+    for bit in range(8 * len(raw)):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
+        misses += gallery.cached(str(ckpt), str(data)) is None
+        if bit % 37 == 0:  # a spread of flips, through the whole command
+            assert _outcome("search", data, ckpt, tmp_path / f"flip{bit}", ("--query-id", 1)) \
+                == expected
+    assert misses == 8 * len(raw)
+    for n in range(len(raw)):  # and every truncation
+        path.write_bytes(raw[:n])
+        assert gallery.cached(str(ckpt), str(data)) is None
+
+
+# ---------------------------------------------------------------------------
+# encoder bits belong to a gallery version
+# ---------------------------------------------------------------------------
+
+# sha256 of the encoders' output bits on a fixed tiny input, per GALLERY_VERSION.
+# A change to those bits (a fused op, a new summation order) fails this test:
+# bump GALLERY_VERSION, so that galleries written by older code stop matching,
+# and pin the new hash under the new version. The pin was taken with numpy's
+# bundled OpenBLAS on x86-64; another BLAS or CPU may round differently.
+ENCODER_BITS = {1: "381b94ea41f1899380ca1c00fe9e960aff8c5f50450b250301ce9a09491be343"}
+
+
+def test_encoder_bits_are_pinned_to_the_gallery_version():
+    rng = np.random.default_rng(5)
+    counts = np.array([1, 2, 3, 4, 4, 2])
+    photos = rng.normal(size=(6, 4, 6)) * (np.arange(4)[None, :, None] < counts[:, None, None])
+    texts = rng.normal(size=(6, 5))
+    digest = hashlib.sha256()
+    for pool in ("last", "mean"):
+        cfg = model.SetEncoderConfig(d_in=6, d_model=8, n_layers=2, n_heads=2, d_out=8, p_max=4,
+                                     pool=pool)
+        digest.update(model.encode_photoset_batch(model.init_set_encoder(cfg, seed=3), photos, counts)
+                      .tobytes())
+    te = model.init_text_tower(model.TextTowerConfig(dims=(5, 8, 8)), seed=4)
+    digest.update(model.encode_text(te, texts).tobytes())
+    assert digest.hexdigest() == ENCODER_BITS[gallery.GALLERY_VERSION]
