@@ -5,6 +5,10 @@ temporary file in the destination directory which is then renamed over the targe
 so a crash never leaves a half-written artifact behind. Float arrays are float32 on
 disk and float64 in memory, with one exception: an encoded gallery (``gallery.py``)
 stores float64, because it must reproduce a fresh encode bit for bit.
+
+Reads are zero-copy where they can be: a Reader holds the file in one buffer,
+float64 and int64 arrays are read-only views of it, and float32 arrays are
+widened into new float64 arrays in one pass.
 """
 
 from __future__ import annotations
@@ -67,7 +71,9 @@ class Reader:
     A wrong magic, a read past the end of the file or bytes left over after
     the payload (see end) raise CorruptFile. With checksum, the file ends in a
     u32 zlib.crc32 of every byte before it (see with_crc32); a mismatch raises
-    CorruptFile and the payload excludes the trailer.
+    CorruptFile and the payload excludes the trailer. The file is read once
+    into one buffer: float64 and int64 arrays are read-only views of it, and
+    float32 arrays widen straight out of it.
     """
 
     def __init__(self, path: str, magic: bytes, checksum: bool = False):
@@ -75,15 +81,24 @@ class Reader:
             self.buf = fh.read()
         if self.buf[:8] != magic:
             raise CorruptFile(f"{path}: bad magic, expected {magic!r}")
+        self.size = len(self.buf)
         if checksum:  # the magic matched, so the file holds at least 8 bytes
-            self.buf, trailer = self.buf[:-4], self.buf[-4:]
-            if zlib.crc32(self.buf) != int.from_bytes(trailer, "little"):
+            self.size -= 4
+            if zlib.crc32(memoryview(self.buf)[: self.size]) != int.from_bytes(self.buf[-4:], "little"):
                 raise CorruptFile(f"{path}: checksum mismatch")
         self.path = path
         self.off = 8
 
+    def _take(self, n: int) -> int:
+        """Offset of the next n payload bytes, which the cursor then passes."""
+        if not 0 <= n <= self.size - self.off:
+            raise CorruptFile(f"{self.path}: truncated file")
+        off = self.off
+        self.off += n
+        return off
+
     def u8(self) -> int:
-        return self.raw(1)[0]
+        return self.buf[self._take(1)]
 
     def u32(self) -> int:
         return int.from_bytes(self.raw(4), "little")
@@ -92,27 +107,32 @@ class Reader:
         return int.from_bytes(self.raw(8), "little")
 
     def raw(self, n: int) -> bytes:
-        chunk = self.buf[self.off : self.off + n]
-        if len(chunk) != n:
-            raise CorruptFile(f"{self.path}: truncated file")
-        self.off += n
-        return chunk
+        off = self._take(n)
+        return self.buf[off : off + n]
+
+    def view(self, dtype: str, shape) -> np.ndarray:
+        """A read-only view of the next array of the given dtype and shape."""
+        count = math.prod(shape)
+        off = self._take(np.dtype(dtype).itemsize * count)
+        try:
+            return np.frombuffer(self.buf, dtype, count, off).reshape(shape)
+        except (ValueError, OverflowError):  # an empty array with a dimension numpy cannot index
+            raise CorruptFile(f"{self.path}: impossible array shape {tuple(shape)}") from None
 
     def f32(self, shape) -> np.ndarray:
-        """A float32 array of the given shape, widened to float64."""
-        chunk = self.raw(4 * math.prod(shape))
-        return np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
+        """A float32 array of the given shape, widened to a new float64 array."""
+        return self.view("<f4", shape).astype(np.float64)
 
     def i64(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.raw(8 * n), dtype="<i8").astype(np.int64)
+        """n int64 values, a read-only view of the file buffer."""
+        return self.view("<i8", (n,))
 
     def f64(self, shape) -> np.ndarray:
-        """A float64 array of the given shape, copied out of the file buffer."""
-        chunk = self.raw(8 * math.prod(shape))
-        return np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
+        """A float64 array of the given shape, a read-only view of the file buffer."""
+        return self.view("<f8", shape)
 
     def end(self) -> None:
         """Check that the payload has been read to the last byte."""
-        left = len(self.buf) - self.off
+        left = self.size - self.off
         if left:
             raise CorruptFile(f"{self.path}: {left} trailing bytes after the payload")

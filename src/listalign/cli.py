@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -396,9 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: parse_args keeps no state between calls, and the
+# defaults it sets are functions and tuples, so every call starts afresh.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -413,15 +413,16 @@ class ScalarQuantizer:
 def scalar_train(x) -> ScalarQuantizer:
     """Fit per-dimension min/scale from the data range.
 
-    Zero-range dimensions get scale 1 so they decode exactly to the stored min.
+    Zero-range dimensions, and those whose step rounds to 0 in float32, get
+    scale 1 so they decode to the stored min.
     """
     x = as_matrix(x)
     if x.shape[0] < 1:
         raise DegenerateInput("scalar_train: need at least one row")
     mins = x.min(axis=0)
     spread = x.max(axis=0) - mins
-    scales = np.where(spread > 0.0, spread / 255.0, 1.0)
-    return ScalarQuantizer(mins=_f32(mins), scales=_f32(scales))
+    scales = _f32(spread / 255.0)
+    return ScalarQuantizer(mins=_f32(mins), scales=np.where(scales > 0.0, scales, 1.0))
 
 
 def scalar_encode(q: ScalarQuantizer, x) -> CodeBlock:
@@ -627,12 +628,19 @@ def save_codec(path: str, codec: Codec) -> None:
 
 
 def load_codec(path: str) -> Codec:
+    """Read any codec; a payload no trainer could produce (a non-finite
+    parameter, a scale not above 0) is CorruptFile."""
     r = Reader(path, CODEC_MAGIC)
     tag = r.u8()
     if tag >= len(_CLASSES):
         raise CorruptFile(f"{path}: unknown codec kind {tag}")
     codec = _CLASSES[tag].read(r)
     r.end()
+    if not all(np.isfinite(a).all() for a in codec.layout()[1]):
+        raise CorruptFile(f"{path}: non-finite codec parameter")
+    quantizer = codec.quantizer if isinstance(codec, PcaCodec) else codec
+    if isinstance(quantizer, ScalarQuantizer) and not (quantizer.scales > 0.0).all():
+        raise CorruptFile(f"{path}: scalar quantizer scale not above 0")
     return codec
 
 
@@ -656,7 +664,7 @@ def load_embeddings(path: str) -> np.ndarray:
     if dtype_tag == 0:
         array = r.f32((n, d))
     elif dtype_tag == 1:
-        array = np.frombuffer(r.raw(n * d), dtype=np.uint8).reshape(n, d).copy()
+        array = r.view("u1", (n, d)).copy()
     else:
         raise CorruptFile(f"{path}: unknown embedding dtype tag {dtype_tag}")
     r.end()

@@ -115,59 +115,66 @@ class TextTowerParams:
         return list(self.tensors.items())
 
 
-def _layer_names(i: int):
-    base = f"layer{i}."
-    return [
-        base + n
-        for n in (
-            "ln1_g", "ln1_b", "w_q", "b_q", "w_k", "b_k", "w_v", "b_v",
-            "w_o", "b_o", "ln2_g", "ln2_b", "w_ff1", "b_ff1", "w_ff2", "b_ff2",
-        )
-    ]
+_LAYER_TENSORS = (  # name, shape in d_model units, init kind
+    ("ln1_g", (1,), "gain"), ("ln1_b", (1,), "bias"),
+    ("w_q", (1, 1), "weight"), ("b_q", (1,), "bias"),
+    ("w_k", (1, 1), "weight"), ("b_k", (1,), "bias"),
+    ("w_v", (1, 1), "weight"), ("b_v", (1,), "bias"),
+    ("w_o", (1, 1), "weight"), ("b_o", (1,), "bias"),
+    ("ln2_g", (1,), "gain"), ("ln2_b", (1,), "bias"),
+    ("w_ff1", (1, 4), "weight"), ("b_ff1", (4,), "bias"),
+    ("w_ff2", (4, 1), "weight"), ("b_ff2", (1,), "bias"),
+)
+_INIT_STD = {"weight": INIT_STD, "pos": POS_INIT_STD}
+
+
+def _set_encoder_layout(config: SetEncoderConfig) -> list:
+    """(name, shape, init kind) of every set-encoder tensor, in manifest order."""
+    config.validate()
+    dm = config.d_model
+    layout = [("w_in", (config.d_in, dm), "weight"), ("b_in", (dm,), "bias"),
+              ("pos_emb", (config.p_max, dm), "pos")]
+    for i in range(config.n_layers):
+        layout += [(f"layer{i}.{name}", tuple(dm * u for u in units), kind)
+                   for name, units, kind in _LAYER_TENSORS]
+    return layout + [("w_out", (dm, config.d_out), "weight"), ("b_out", (config.d_out,), "bias")]
+
+
+def _text_layout(config: TextTowerConfig) -> list:
+    """(name, shape, init kind) of every text-tower tensor, in manifest order."""
+    config.validate()
+    layout = []
+    for i in range(config.n_layers):
+        layout += [(f"text{i}.w", (config.dims[i], config.dims[i + 1]), "weight"),
+                   (f"text{i}.b", (config.dims[i + 1],), "bias")]
+    return layout
+
+
+def _tensors(layout, rng) -> dict[str, Var]:
+    """One trainable Var per layout entry: weights drawn from rng in layout
+    order, zero biases and unit gains; all zeros when rng is None."""
+    t: dict[str, Var] = {}
+    for name, shape, kind in layout:
+        if rng is None or kind == "bias":
+            value = np.zeros(shape)
+        elif kind == "gain":
+            value = np.ones(shape)
+        else:
+            value = rng.normal(scale=_INIT_STD[kind], size=shape)
+        t[name] = ad.param(value)
+    return t
 
 
 def init_set_encoder(config: SetEncoderConfig, seed: int = 0) -> SetEncoderParams:
     """Normal(0, 0.02) weights, zero biases, unit layer-norm gains."""
-    config.validate()
-    rng = np.random.default_rng(seed)
-    dm, dh = config.d_model, config.d_model
-    t: dict[str, Var] = {}
-
-    def w(shape, std=INIT_STD):
-        return ad.param(rng.normal(scale=std, size=shape))
-
-    def zeros(shape):
-        return ad.param(np.zeros(shape))
-
-    def ones(shape):
-        return ad.param(np.ones(shape))
-
-    t["w_in"] = w((config.d_in, dm))
-    t["b_in"] = zeros((dm,))
-    t["pos_emb"] = w((config.p_max, dm), std=POS_INIT_STD)
-    for i in range(config.n_layers):
-        names = _layer_names(i)
-        vals = [
-            ones((dm,)), zeros((dm,)),
-            w((dm, dh)), zeros((dh,)), w((dm, dh)), zeros((dh,)), w((dm, dh)), zeros((dh,)),
-            w((dm, dm)), zeros((dm,)),
-            ones((dm,)), zeros((dm,)),
-            w((dm, 4 * dm)), zeros((4 * dm,)), w((4 * dm, dm)), zeros((dm,)),
-        ]
-        t.update(zip(names, vals))
-    t["w_out"] = w((dm, config.d_out))
-    t["b_out"] = zeros((config.d_out,))
-    return SetEncoderParams(config=config, tensors=t)
+    layout = _set_encoder_layout(config)
+    return SetEncoderParams(config=config, tensors=_tensors(layout, np.random.default_rng(seed)))
 
 
 def init_text_tower(config: TextTowerConfig, seed: int = 0) -> TextTowerParams:
-    config.validate()
-    rng = np.random.default_rng(seed)
-    t: dict[str, Var] = {}
-    for i in range(config.n_layers):
-        t[f"text{i}.w"] = ad.param(rng.normal(scale=INIT_STD, size=(config.dims[i], config.dims[i + 1])))
-        t[f"text{i}.b"] = ad.param(np.zeros(config.dims[i + 1]))
-    return TextTowerParams(config=config, tensors=t, frozen=[False] * config.n_layers)
+    layout = _text_layout(config)
+    return TextTowerParams(config=config, tensors=_tensors(layout, np.random.default_rng(seed)),
+                           frozen=[False] * config.n_layers)
 
 
 def set_text_freeze(params: TextTowerParams, unfrozen_layers) -> None:
@@ -417,17 +424,18 @@ def _int_list(value, what: str) -> list:
 
 
 def _read_header(r: Reader):
-    """Parse the JSON header into fresh towers, freeze flags and manifest.
+    """Parse the JSON header into zero-filled towers, freeze flags and manifest.
 
     Anything that is not the header save_checkpoint writes is CorruptFile.
     """
     try:
         header = json.loads(r.raw(r.u32()).decode("utf-8"))
         se = parse_dataclass(SetEncoderConfig, header["set_encoder"], "set_encoder")
-        ps = init_set_encoder(se, seed=0)
+        ps = SetEncoderParams(config=se, tensors=_tensors(_set_encoder_layout(se), None))
         text = header["text_tower"]
-        dims = tuple(_int_list(text["dims"], "text_tower.dims"))
-        te = init_text_tower(TextTowerConfig(dims=dims), seed=0)
+        tc = TextTowerConfig(dims=tuple(_int_list(text["dims"], "text_tower.dims")))
+        te = TextTowerParams(config=tc, tensors=_tensors(_text_layout(tc), None),
+                             frozen=[False] * tc.n_layers)
         frozen = text["frozen"]
         if not (
             isinstance(frozen, list)

@@ -1,5 +1,7 @@
 """End-to-end command-line pipeline tests: artifacts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import listalign
-from listalign import codec as codecmod, config as configmod, synth
+from listalign import cli, codec as codecmod, config as configmod, gallery, synth
 from listalign.cli import main
 from listalign.errors import ConfigError
 
@@ -602,3 +604,54 @@ def test_module_entry_point_help(tmp_path):
     assert proc.returncode == 0
     for name in ("gen", "train", "quantize", "eval", "search", "report"):
         assert name in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def _captured(argv):
+    """(exit code, stdout, stderr) of main(argv), an argparse exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_answers_like_a_fresh_one(workspace, tmp_path, monkeypatch):
+    data, ckpt = str(workspace["data"]), str(workspace["run"] / "checkpoint.blm")
+    first_id = json.loads((workspace["data"] / "train" / "dataset.jsonl").read_text().splitlines()[0])["id"]
+    search = ["search", "--data", data, "--model", ckpt, "--query-id", str(first_id)]
+    calls = [
+        search + ["--top", "3", "--modality", "text"],
+        search,
+        search + ["--top", "many"],
+        ["eval", "--data", data, "--model", ckpt, "--out", str(tmp_path / "r.json"), "--sweep", "2,4"],
+    ]
+    reused = [_captured(argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    defaults = cli._parser().parse_args(calls[1])
+    assert (defaults.top, defaults.modality) == (10, "multimodal")
+
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser for every call
+    fresh = [_captured(argv) for argv in calls]
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 2, 0]
+    assert reused[0][1].count("\n") == 3 and reused[1][1].count("\n") == 10
+    assert "invalid int value: 'many'" in reused[2][2]
+
+
+def test_module_entry_point_search_prints_the_in_process_bytes(workspace, tmp_path):
+    data, ckpt = str(workspace["data"]), str(workspace["run"] / "checkpoint.blm")
+    assert gallery.cached(ckpt, data) is not None
+    first_id = json.loads((workspace["data"] / "holdout" / "dataset.jsonl").read_text().splitlines()[0])["id"]
+    argv = ["search", "--data", data, "--model", ckpt, "--query-id", str(first_id), "--modality", "photo"]
+    package_root = str(Path(listalign.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "listalign", *argv],
+                          capture_output=True, cwd=tmp_path, env=env)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == _captured(argv)

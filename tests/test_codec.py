@@ -257,6 +257,16 @@ class TestScalar:
         recon = codec.scalar_decode(q, codec.scalar_encode(q, x))
         np.testing.assert_array_equal(recon[:, 0], x[:, 0])
 
+    def test_step_below_float32_decodes_to_min(self, tmp_path):
+        x = np.array([[0.0, 1.0], [1e-44, 2.0]])  # 1e-44 / 255 is 0 in float32
+        q = codec.scalar_train(x)
+        assert q.scales[0] == 1.0
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(codec.scalar_decode(q, codec.scalar_encode(q, x))[:, 0], 0.0)
+        path = str(tmp_path / "tiny.codec")
+        codec.save_codec(path, q)
+        np.testing.assert_array_equal(codec.load_codec(path).scales, q.scales)
+
     def test_round_half_to_even(self):
         # Grid step 1.0 over [0, 255]: values at .5 round to the even neighbor.
         q = codec.ScalarQuantizer(mins=np.array([0.0]), scales=np.array([1.0]))
@@ -393,6 +403,36 @@ class TestPersistence:
         with pytest.raises(CorruptFile, match="2 trailing bytes"):
             codec.load_codec(str(path))
 
+    # (kind, field, offset of the field's first float32): the header is the
+    # magic, the kind byte and the kind's u32 dims; inputs are 6-d, out_dim 3
+    POISONED = {
+        "scalar scale": ("scalar", lambda c: c.scales[0], 8 + 1 + 4 + 4 * 6),
+        "pca scale": ("pca", lambda c: c.quantizer.scales[0], 8 + 1 + 8 + 4 * (6 + 3 * 6 + 3 + 3)),
+        "opq rotation": ("opq", lambda c: c.rotation[0, 0], 8 + 1 + 20),
+        "pq codebook": ("pq", lambda c: c.codebooks[0, 0, 0], 8 + 1 + 16),
+    }
+
+    @pytest.mark.parametrize("field, value", [
+        ("scalar scale", np.nan), ("scalar scale", np.inf), ("scalar scale", -1.0),
+        ("scalar scale", 0.0), ("pca scale", np.nan), ("pca scale", np.inf), ("pca scale", -1.0),
+        ("opq rotation", np.nan), ("pq codebook", np.nan), ("pq codebook", -np.inf),
+    ])
+    def test_payload_that_only_looks_valid_is_corrupt(self, field, value, tmp_path):
+        kind, read_field, offset = self.POISONED[field]
+        x = np.random.default_rng(22).normal(size=(60, 6))
+        settings = codec.CodecSettings(kind, m=2, k=4, iters=2, outer_iters=1, kmeans_iters=2, out_dim=3)
+        trained = codec.train_codec(settings, x)
+        path = tmp_path / f"{kind}.codec"
+        codec.save_codec(str(path), trained)
+        raw = bytearray(path.read_bytes())
+        assert np.frombuffer(raw, "<f4", 1, offset)[0] == read_field(trained)
+        loaded = codec.load_codec(str(path))  # the valid file round-trips
+        assert codec.encode(loaded, x).codes.tobytes() == codec.encode(trained, x).codes.tobytes()
+        raw[offset : offset + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile, match="non-finite|not above 0"):
+            codec.load_codec(str(path))
+
     @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
     def test_trailing_bytes_in_embedding_file_are_corrupt(self, dtype, tmp_path):
         path = tmp_path / "x.emb"
@@ -428,7 +468,9 @@ class TestPersistence:
         x = rng.integers(0, 256, size=(9, 5), dtype=np.uint8)
         path = str(tmp_path / "codes.emb")
         codec.save_embeddings(path, x)
-        np.testing.assert_array_equal(codec.load_embeddings(path), x)
+        out = codec.load_embeddings(path)
+        np.testing.assert_array_equal(out, x)
+        assert out.flags.writeable  # a copy, not a view of the file buffer
 
     def test_embedding_file_layout(self, tmp_path):
         '''Header is 21 bytes: magic + n(u64) + d(u32) + dtype(u8).'''

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from listalign import cli, gallery, model, synth
+from listalign._fileio import with_crc32
+from listalign.errors import CorruptFile
 
 TINY_CONFIG = {
     "generator": {
@@ -288,6 +290,59 @@ def test_every_bit_flip_or_cut_of_a_small_gallery_misses(tmp_path):
     for n in range(len(raw)):  # and every truncation
         path.write_bytes(raw[:n])
         assert gallery.cached(str(ckpt), str(data)) is None
+
+
+# ---------------------------------------------------------------------------
+# the gallery is read in place, and its key is the documented hash
+# ---------------------------------------------------------------------------
+
+def test_hit_arrays_are_read_only_views_and_serve_unchanged(pipe, tmp_path):
+    data, run = pipe["data"], pipe["run"]
+    hit = gallery.cached(str(run / "checkpoint.blm"), str(data))
+    for array in (hit.ids, hit.photo, hit.text):
+        assert not array.flags.writeable and not array.flags.owndata
+    # a stage that wrote into a view would fail on the hit and not on the miss
+    for modality in MODALITIES:
+        hit_out, miss_out = _hit_and_miss("search", data, run, tmp_path / modality,
+                                          "--query-id", pipe["ids"][2], "--modality", modality)
+        assert hit_out[0] == 0 and hit_out == miss_out
+    hit_out, miss_out = _hit_and_miss("eval", data, run, tmp_path / "eval", "--sweep", "2,4",
+                                      "--quantize-sweep")
+    assert hit_out[0] == 0 and hit_out == miss_out
+
+
+@pytest.mark.parametrize("n, d", [
+    (2**63 - 1, None), (None, 2**63 - 1), (2**62, None), (None, 2**62), (0, 2**63 - 1),
+    (-1, None), (None, -1), (-(2**63), None), (None, -(2**63)),
+])
+def test_impossible_gallery_shape_is_a_miss(pipe, tmp_path, n, d):
+    data, run = _copy_layout(pipe, tmp_path)
+    path = run / gallery.GALLERY_FILE
+    raw = path.read_bytes()[:-4]
+    old_n, old_d = np.frombuffer(raw[40:56], dtype="<i8").tolist()
+    shape = np.array([old_n if n is None else n, old_d if d is None else d], dtype="<i8")
+    path.write_bytes(with_crc32(raw[:40] + shape.tobytes() + raw[56:]))  # a valid checksum
+    with pytest.raises(CorruptFile):
+        gallery.load_gallery(str(path))
+    assert gallery.cached(str(run / "checkpoint.blm"), str(data)) is None
+    hit, miss = _hit_and_miss("search", data, run, tmp_path / "s", "--query-id", pipe["ids"][0])
+    assert hit[0] == 0 and hit == miss
+
+
+def test_content_key_is_the_documented_sha256(pipe):
+    data, ckpt = pipe["data"], pipe["run"] / "checkpoint.blm"
+    digest = hashlib.sha256(b"listalign gallery %d\n" % gallery.GALLERY_VERSION)
+    inputs = [("checkpoint", ckpt)]
+    for rel in ("train/dataset.jsonl", "train/photos.emb", "train/text.emb", "train/latent.emb",
+                "holdout/dataset.jsonl", "holdout/photos.emb", "holdout/text.emb",
+                "holdout/latent.emb", "train/generator.json"):
+        inputs.append((rel, data / rel))
+    for name, path in inputs:
+        blob = path.read_bytes()
+        digest.update(f"{name} {len(blob)}\n".encode())
+        digest.update(blob)
+    assert gallery.content_key(str(ckpt), str(data)) == digest.digest()
+    assert gallery.load_gallery(str(pipe["run"] / gallery.GALLERY_FILE))[0] == digest.digest()
 
 
 # ---------------------------------------------------------------------------
