@@ -34,7 +34,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul", "pow_const",
     "exp", "log", "sqrt", "tanh", "gelu", "log_sigmoid",
     "vsum", "vmean", "reshape", "transpose", "getitem", "take_rows", "put_rows",
-    "stop_gradient", "log_softmax", "logsumexp",
+    "log_softmax", "logsumexp",
 ]
 
 _TAPE_STACK: list["Tape"] = []
@@ -428,12 +428,6 @@ def put_rows(a, rows, shape) -> Var:
         return ((a, g.reshape(-1, d)[rows]),)
 
     return _make(out_val, (a,), grad_fn)
-
-
-def stop_gradient(a) -> Var:
-    """Detach: same value, no gradient flows back."""
-    a = _lift(a)
-    return Var(a.value.copy(), requires_grad=False)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ the failing stage's own code: 3 train, 4 quantize, 5 eval and report, 6 search
 (an unknown listing id, or a corrupt or truncated search --model), 1 gen.
 Artifacts are written atomically and contain no timestamps, so a rerun with
 the same inputs produces byte-identical files. ``train`` also writes the
-encoded gallery beside its checkpoint; ``search`` and ``eval`` read it instead
-of encoding when its content key matches their inputs (see gallery.py).
+encoded gallery beside its checkpoint. ``search`` and ``eval`` take their
+embeddings from one gallery.Gallery: the saved one when its content key
+matches their inputs, otherwise a fresh ``gallery.embed`` (see gallery.py).
 """
 
 from __future__ import annotations
@@ -47,26 +48,6 @@ def _read_input(load, path: str, what: str):
         return load(path)
     except (OSError, CorruptFile) as exc:
         raise ConfigError(f"cannot read {what}: {exc}")
-
-
-def _load_split_dirs(data_dir: str):
-    train_dir = os.path.join(data_dir, "train")
-    holdout_dir = os.path.join(data_dir, "holdout")
-    try:
-        train = synth.load_dataset(train_dir)
-        holdout = synth.load_dataset(holdout_dir)
-        gcfg = synth.load_generator_config(train_dir)
-    except (OSError, CorruptFile) as exc:
-        raise ConfigError(f"cannot read dataset under {data_dir}: {exc}")
-    return train, holdout, gcfg
-
-
-def _multimodal_rows(ps_emb: np.ndarray, tx_emb: np.ndarray) -> np.ndarray:
-    mixed = ps_emb + tx_emb
-    norms = np.linalg.norm(mixed, axis=1)
-    safe = norms > 1e-12
-    out = np.where(safe[:, None], mixed / np.where(safe, norms, 1.0)[:, None], ps_emb)
-    return out
 
 
 def _clamp_ks(ks, n: int):
@@ -137,7 +118,7 @@ def cmd_train(args) -> int:
             init_seed=args.seed,
             schedule=dataclasses.replace(cfg.schedule, seed=args.seed),
         )
-    train_recs, holdout_recs, gcfg = _load_split_dirs(args.data)
+    train_recs, holdout_recs, gcfg = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
     # the dataset's own geometry wins over whatever the config file says
     cfg = dataclasses.replace(cfg, generator=gcfg)
     n_total = len(train_recs) + len(holdout_recs)
@@ -202,34 +183,29 @@ def cmd_quantize(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _mean_ndcg(tx_emb, ps_emb, ids, query_rows, depth: int) -> float:
-    ids = np.asarray(ids)
+    """Mean binary NDCG of each query's own row, ranked with ties broken by id."""
     scores = []
     for i in query_rows:
-        sims = tx_emb[i] @ ps_emb.T
-        order = np.lexsort((ids, -sims))
-        ranking = ids[order]
-        scores.append(evalmod.ndcg_binary(ranking, {ids[i]}, depth=depth))
+        order = np.lexsort((ids, -(tx_emb[i] @ ps_emb.T)))
+        scores.append(evalmod.ndcg_binary(order, {i}, depth=depth))
     return float(np.mean(scores))
 
 
 def cmd_eval(args) -> int:
     # the probes need the records' attributes, so the dataset loads either way
-    train_recs, holdout_recs, _ = _load_split_dirs(args.data)
-    everything = train_recs + holdout_recs
-    n = len(everything)
-    hit = gallerymod.cached(args.model, args.data)
-    if hit is None:
+    train_recs, holdout_recs, _ = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
+    g = gallerymod.cached(args.model, args.data)
+    if g is None:
         ps, te, _extra = _read_input(modelmod.load_checkpoint, args.model, "checkpoint")
-        ps_emb, tx_emb = gallerymod.encode_records(ps, te, everything)
-    else:
-        ps_emb, tx_emb = hit.photo, hit.text
+        g = gallerymod.embed(ps, te, train_recs + holdout_recs)
+    ps_emb, tx_emb = g.photo, g.text
+    n = len(g.ids)
     query_rows = np.arange(len(train_recs), n)
     ks = _clamp_ks(_parse_int_list(args.ks, "--ks") if args.ks else (1, 5, 10), n)
     metrics = evalmod.retrieval_metrics(tx_emb, ps_emb, ks=ks, query_indices=query_rows)
-    ids = [r.id for r in everything]
     depth = min(10, n)
     retrieval = dict(metrics.as_dict())
-    retrieval[f"ndcg_t2i@{depth}"] = _mean_ndcg(tx_emb, ps_emb, ids, query_rows, depth)
+    retrieval[f"ndcg_t2i@{depth}"] = _mean_ndcg(tx_emb, ps_emb, g.ids, query_rows, depth)
 
     probe = {}
     k_probe = min(10, len(train_recs))
@@ -273,31 +249,21 @@ def cmd_eval(args) -> int:
 def cmd_search(args) -> int:
     if args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
-    hit = gallerymod.cached(args.model, args.data)
-    if hit is None:
-        train_recs, holdout_recs, _ = _load_split_dirs(args.data)
+    g = gallerymod.cached(args.model, args.data)
+    if g is None:
+        train_recs, holdout_recs, _ = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
         # a missing --model is an OSError (exit 2), a corrupt one a search failure
         ps, te, _extra = modelmod.load_checkpoint(args.model)
-        everything = train_recs + holdout_recs
-        ids = np.array([r.id for r in everything])
-    else:
-        ids = hit.ids
-
-    row_by_id = {listing: i for i, listing in enumerate(ids.tolist())}
+        g = gallerymod.embed(ps, te, train_recs + holdout_recs)
+    row_by_id = {listing: i for i, listing in enumerate(g.ids.tolist())}
     if args.query_id not in row_by_id:
         raise UnknownId(f"no listing with id {args.query_id}")
-    row = row_by_id[args.query_id]
-    if hit is None:
-        ps_emb, tx_emb = gallerymod.encode_records(ps, te, everything)
-    else:
-        ps_emb, tx_emb = hit.photo, hit.text
-    gallery = _multimodal_rows(ps_emb, tx_emb)
-    query = {"photo": ps_emb, "text": tx_emb, "multimodal": gallery}[args.modality][row]
-    scores = gallery @ query
-    order = np.lexsort((ids, -scores))
+    # --modality's choices are the three Gallery attributes search can rank by
+    scores = g.multimodal @ getattr(g, args.modality)[row_by_id[args.query_id]]
+    order = np.lexsort((g.ids, -scores))
 
     for i in order[: args.top]:
-        print(f"{ids[i]} {scores[i]:.6f}")
+        print(f"{g.ids[i]} {scores[i]:.6f}")
     return 0
 
 

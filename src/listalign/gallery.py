@@ -1,13 +1,15 @@
 """Encoded gallery: every listing's photo-set and text embedding, saved once.
 
-``train`` encodes its dataset with the checkpoint it has just written and saves
-the result as ``gallery.blg`` beside that checkpoint. ``search`` and ``eval``
-use the gallery only when its content key equals a fresh hash of their own
-inputs, so an absent, stale or corrupt gallery simply means encoding again:
-the cache can change speed, never a result or an error.
+A Gallery holds a dataset's int64 listing ids and its photo-set, text and
+multimodal rows, the three things ``search`` can rank by. ``embed`` encodes
+one from a checkpoint and records; ``train`` saves it as ``gallery.blg``
+beside the checkpoint it has just written. ``search`` and ``eval`` use the
+saved gallery only when its content key equals a fresh hash of their own
+inputs, so an absent, stale or corrupt gallery simply means calling ``embed``
+again: the cache can change speed, never a result or an error.
 
 The content key is a sha256 over GALLERY_VERSION and, for the checkpoint and
-each dataset file the CLI reads (in a fixed order), its name, its length and
+each file in synth.SPLIT_FILES (in that order), its name, its length and
 its bytes. Names and lengths are hashed so that bytes moved from one file to
 the next cannot keep the key.
 
@@ -19,6 +21,7 @@ gallery must give ``search`` and ``eval`` the exact bits of a fresh encode.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ from . import model, synth
 from ._fileio import Reader, atomic_write_bytes, with_crc32
 from .errors import CorruptFile
 
-__all__ = ["GALLERY_FILE", "GALLERY_VERSION", "Gallery", "encode_records", "content_key",
+__all__ = ["GALLERY_FILE", "GALLERY_VERSION", "Gallery", "embed", "content_key",
            "save_gallery", "load_gallery", "write_beside", "cached"]
 
 GALLERY_MAGIC = b"BLGAL001"
@@ -38,34 +41,34 @@ GALLERY_FILE = "gallery.blg"
 # older code stop matching; tests/test_gallery.py pins those bits per version.
 GALLERY_VERSION = 1
 
-# the dataset files the CLI reads, relative to its --data directory
-DATA_FILES = tuple(
-    f"{split}/{name}"
-    for split in ("train", "holdout")
-    for name in (synth.INDEX_FILE, synth.PHOTOS_FILE, synth.TEXT_FILE, synth.LATENT_FILE)
-) + (f"train/{synth.CONFIG_FILE}",)
-
-
 @dataclass(frozen=True)
 class Gallery:
     ids: np.ndarray    # (n,) int64, train rows then holdout rows
     photo: np.ndarray  # (n, d) photo-set embeddings
     text: np.ndarray   # (n, d) text embeddings
 
+    @functools.cached_property
+    def multimodal(self) -> np.ndarray:
+        """(n, d) unit rows along photo + text; the photo row where they cancel."""
+        mixed = self.photo + self.text
+        norms = np.linalg.norm(mixed, axis=1)
+        safe = norms > 1e-12
+        return np.where(safe[:, None], mixed / np.where(safe, norms, 1.0)[:, None], self.photo)
 
-def encode_records(ps, te, records):
-    """(photo-set, text) embeddings of records, one row each."""
+
+def embed(ps, te, records) -> Gallery:
+    """Every record's id and its photo-set and text embedding, one row each."""
     photos, counts = synth.pack_photos(records)
-    ps_emb = model.encode_photoset_batch(ps, photos, counts)
-    tx_emb = model.encode_text(te, synth.pack_texts(records))
-    return ps_emb, tx_emb
+    return Gallery(ids=np.array([r.id for r in records], dtype=np.int64),
+                   photo=model.encode_photoset_batch(ps, photos, counts),
+                   text=model.encode_text(te, synth.pack_texts(records)))
 
 
 def content_key(model_path: str, data_dir: str) -> bytes:
     """sha256 of the gallery version and every input file's name, length and bytes."""
     digest = hashlib.sha256(b"listalign gallery %d\n" % GALLERY_VERSION)
     inputs = [("checkpoint", model_path)]
-    inputs += [(rel, os.path.join(data_dir, *rel.split("/"))) for rel in DATA_FILES]
+    inputs += [(rel, os.path.join(data_dir, *rel.split("/"))) for rel in synth.SPLIT_FILES]
     for name, path in inputs:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -94,19 +97,10 @@ def load_gallery(path: str) -> tuple[bytes, Gallery]:
 
 
 def write_beside(model_path: str, data_dir: str, records) -> None:
-    """Encode records with the checkpoint as saved and write the gallery beside it.
-
-    Ids beyond int64 cannot be stored; such a dataset gets no gallery.
-    """
-    try:
-        ids = np.array([r.id for r in records], dtype=np.int64)
-    except OverflowError:
-        return
+    """Encode records with the checkpoint as saved and write the gallery beside it."""
     ps, te, _extra = model.load_checkpoint(model_path)
-    photo, text = encode_records(ps, te, records)
-    gallery = Gallery(ids=ids, photo=photo, text=text)
     path = os.path.join(os.path.dirname(model_path), GALLERY_FILE)
-    save_gallery(path, content_key(model_path, data_dir), gallery)
+    save_gallery(path, content_key(model_path, data_dir), embed(ps, te, records))
 
 
 def cached(model_path: str, data_dir: str) -> Gallery | None:

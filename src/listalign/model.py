@@ -22,7 +22,7 @@ order, little-endian.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -109,7 +109,11 @@ class TextTowerConfig:
 class TextTowerParams:
     config: TextTowerConfig
     tensors: dict[str, Var]
-    frozen: list[bool] = field(default_factory=list)  # per layer
+
+    @property
+    def frozen(self) -> list[bool]:
+        """Per layer: whether set_text_freeze has stopped its gradients."""
+        return [not self.tensors[f"text{i}.w"].requires_grad for i in range(self.config.n_layers)]
 
     def named(self):
         return list(self.tensors.items())
@@ -173,8 +177,7 @@ def init_set_encoder(config: SetEncoderConfig, seed: int = 0) -> SetEncoderParam
 
 def init_text_tower(config: TextTowerConfig, seed: int = 0) -> TextTowerParams:
     layout = _text_layout(config)
-    return TextTowerParams(config=config, tensors=_tensors(layout, np.random.default_rng(seed)),
-                           frozen=[False] * config.n_layers)
+    return TextTowerParams(config=config, tensors=_tensors(layout, np.random.default_rng(seed)))
 
 
 def set_text_freeze(params: TextTowerParams, unfrozen_layers) -> None:
@@ -190,7 +193,6 @@ def set_text_freeze(params: TextTowerParams, unfrozen_layers) -> None:
             raise ConfigError(f"text tower has {n} layers, cannot unfreeze layer {i}")
     for i in range(n):
         live = i in unfrozen
-        params.frozen[i] = not live
         params.tensors[f"text{i}.w"].requires_grad = live
         params.tensors[f"text{i}.b"].requires_grad = live
 
@@ -434,8 +436,7 @@ def _read_header(r: Reader):
         ps = SetEncoderParams(config=se, tensors=_tensors(_set_encoder_layout(se), None))
         text = header["text_tower"]
         tc = TextTowerConfig(dims=tuple(_int_list(text["dims"], "text_tower.dims")))
-        te = TextTowerParams(config=tc, tensors=_tensors(_text_layout(tc), None),
-                             frozen=[False] * tc.n_layers)
+        te = TextTowerParams(config=tc, tensors=_tensors(_text_layout(tc), None))
         frozen = text["frozen"]
         if not (
             isinstance(frozen, list)

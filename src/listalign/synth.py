@@ -8,7 +8,9 @@ pure functions of the latent, so probes have a learnable target. Everything is
 a deterministic function of the config, including its seed.
 
 Datasets persist as a JSONL index plus binary embedding sidecars; floats are
-stored as float32.
+stored as float32. A directory ``gen`` writes holds a ``train`` and a
+``holdout`` dataset; SPLIT_FILES lists every file ``load_split`` reads from it.
+Listing ids are int64: an index line whose id is outside that range is corrupt.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ __all__ = [
     "split",
     "save_dataset",
     "load_dataset",
+    "SPLIT_FILES",
+    "load_split",
     "pack_photos",
     "pack_texts",
 ]
@@ -278,6 +282,13 @@ PHOTOS_FILE = "photos.emb"
 TEXT_FILE = "text.emb"
 LATENT_FILE = "latent.emb"
 CONFIG_FILE = "generator.json"
+# every file load_split reads, relative to the directory gen writes; this order
+# is part of the gallery's content key, so it never changes
+SPLIT_FILES = tuple(
+    f"{split}/{name}"
+    for split in ("train", "holdout")
+    for name in (INDEX_FILE, PHOTOS_FILE, TEXT_FILE, LATENT_FILE)
+) + (f"train/{CONFIG_FILE}",)
 
 
 def save_dataset(directory: str, records, config: GeneratorConfig | None = None) -> None:
@@ -335,6 +346,8 @@ def _index_entry(line: str, row: int, p_max: int, where: str) -> dict:
     for key, expected in (("row", row), ("photo_row_offset", row * p_max)):
         if meta[key] != expected:
             raise CorruptFile(f"{where}: {key} {meta[key]}, expected {expected}")
+    if not -(2**63) <= meta["id"] < 2**63:
+        raise CorruptFile(f"{where}: id {meta['id']} outside int64")
     if not 1 <= meta["photo_count"] <= p_max:
         raise CorruptFile(f"{where}: photo_count {meta['photo_count']} outside [1, {p_max}]")
     return meta
@@ -391,3 +404,10 @@ def load_generator_config(directory: str) -> GeneratorConfig:
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return config
+
+
+def load_split(data_dir: str):
+    """(train records, holdout records, generator config) of a directory gen wrote."""
+    train_dir = os.path.join(data_dir, "train")
+    return (load_dataset(train_dir), load_dataset(os.path.join(data_dir, "holdout")),
+            load_generator_config(train_dir))

@@ -206,13 +206,6 @@ class TestGradients:
         g = ad.backward(tape, loss)[id(p)]
         np.testing.assert_allclose(g, 2 * x0 + 3.0)
 
-    def test_stop_gradient_blocks(self):
-        p = ad.param(np.array([1.5]))
-        with ad.Tape() as tape:
-            loss = (ad.stop_gradient(p) * p).sum()
-        g = ad.backward(tape, loss)[id(p)]
-        np.testing.assert_allclose(g, np.array([1.5]))  # only the live branch
-
     @settings(max_examples=30, deadline=None)
     @given(
         rows=st.integers(min_value=1, max_value=5),

@@ -158,6 +158,25 @@ def test_eval_writes_report_and_sweep(workspace, tmp_path):
     assert len(lines) == 3
 
 
+def test_ndcg_counts_each_query_once_when_ids_repeat(workspace, tmp_path):
+    """Every listing sharing one id must not make each ranked row relevant."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    for split in ("train", "holdout"):
+        index = data / split / "dataset.jsonl"
+        lines = [json.dumps({**json.loads(line), "id": 7}) for line in index.read_text().splitlines()]
+        index.write_text("\n".join(lines) + "\n")
+    reports = {}
+    for name, where in (("unique", workspace["data"]), ("repeated", data)):
+        reports[name] = tmp_path / f"{name}.json"
+        assert main(["eval", "--data", str(where), "--model", str(workspace["run"] / "checkpoint.blm"),
+                     "--out", str(reports[name]), "--quiet"]) == 0
+    retrieval = {name: json.loads(path.read_text())["retrieval"] for name, path in reports.items()}
+    (key,) = [k for k in retrieval["repeated"] if k.startswith("ndcg_t2i@")]
+    assert 0.0 <= retrieval["repeated"][key] <= 1.0
+    assert retrieval["repeated"][key] == retrieval["unique"][key]  # no score ties: same rankings
+
+
 def test_search_prints_ranked_ids(workspace, capsys):
     first_id = json.loads((workspace["data"] / "train" / "dataset.jsonl").read_text().splitlines()[0])["id"]
     code = main([
@@ -384,6 +403,7 @@ MALFORMED_DATASETS = {
     "photo-rows": _drop_last_row("photos.emb"),
     "text-rows": _drop_last_row("text.emb"),
     "latent-rows": _drop_last_row("latent.emb"),
+    "id-beyond-int64": _edit_index_line(lambda m: {**m, "id": 2**63}),
 }
 
 

@@ -111,10 +111,12 @@ def test_train_writes_gallery_of_the_saved_checkpoint(pipe):
     assert key == gallery.content_key(str(run / "checkpoint.blm"), str(data))
     records = synth.load_dataset(str(data / "train")) + synth.load_dataset(str(data / "holdout"))
     ps, te, _ = model.load_checkpoint(str(run / "checkpoint.blm"))
-    photo, text = gallery.encode_records(ps, te, records)
-    assert stored.ids.tolist() == pipe["ids"]
-    assert stored.photo.dtype == np.float64 and np.array_equal(stored.photo, photo)
-    assert np.array_equal(stored.text, text)
+    fresh = gallery.embed(ps, te, records)
+    assert stored.ids.tolist() == fresh.ids.tolist() == pipe["ids"]
+    assert stored.ids.dtype == fresh.ids.dtype == np.int64
+    assert stored.photo.dtype == np.float64 and np.array_equal(stored.photo, fresh.photo)
+    assert np.array_equal(stored.text, fresh.text)
+    assert np.array_equal(stored.multimodal, fresh.multimodal)
 
 
 def test_gallery_file_layout(pipe):
@@ -154,7 +156,18 @@ def test_eval_hit_equals_uncached(pipe, tmp_path, extra):
 
 def test_search_unknown_id_on_a_hit_exits_6(pipe, tmp_path):
     hit, miss = _hit_and_miss("search", pipe["data"], pipe["run"], tmp_path, "--query-id", 999999)
-    assert hit[0] == 6 and hit == miss
+    assert hit[0] == miss[0] == 6 and hit == miss
+    assert hit[1] == "" and hit[2] == "search failed: no listing with id 999999\n"
+
+
+def test_checkpoint_that_does_not_fit_the_dataset_fails_before_the_id_lookup(pipe, tmp_path):
+    _, small_run = _pipeline(tmp_path / "small", SMALL_CONFIG)
+    ckpt = small_run / "checkpoint.blm"
+    for query in (pipe["ids"][0], 999999):  # a miss encodes first, so both fail alike
+        code, out, err = _cli("search", "--data", pipe["data"], "--model", ckpt, "--query-id", query)
+        assert (code, out) == (6, "") and err.startswith("search failed: photos must be")
+    code, _, err = _cli("eval", "--data", pipe["data"], "--model", ckpt, "--out", tmp_path / "r.json")
+    assert code == 5 and err.startswith("evaluation failed: photos must be")
 
 
 def test_repeated_id_resolves_to_its_last_row(pipe, tmp_path):
@@ -173,19 +186,14 @@ def test_repeated_id_resolves_to_its_last_row(pipe, tmp_path):
         assert hit[0] == 0 and hit == miss
 
 
-def test_ids_beyond_int64_train_without_a_gallery(pipe, tmp_path):
-    data, _ = _copy_layout(pipe, tmp_path)
-    index = data / "train" / "dataset.jsonl"
-    lines = index.read_text().splitlines()
-    lines[0] = json.dumps({**json.loads(lines[0]), "id": 2**70}, sort_keys=True)
-    index.write_text("\n".join(lines) + "\n")
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(TINY_CONFIG))
-    assert _cli("train", "--config", cfg, "--data", data, "--out", tmp_path / "big", "--quiet")[0] == 0
-    assert not (tmp_path / "big" / gallery.GALLERY_FILE).exists()
-    code, out, _ = _cli("search", "--data", data, "--model", tmp_path / "big" / "checkpoint.blm",
-                        "--query-id", 2**70)
-    assert code == 0 and out.startswith(f"{2**70} ")
+def test_multimodal_keeps_the_photo_row_where_photo_and_text_cancel():
+    photo = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]])
+    text = np.array([[-0.6, -0.8], [0.0, 1.0], [0.0, 1.0]])
+    g = gallery.Gallery(ids=np.arange(3), photo=photo, text=text)
+    half = np.sqrt(0.5)
+    np.testing.assert_array_equal(g.multimodal[0], photo[0])
+    np.testing.assert_allclose(g.multimodal[1:], [[half, half], [0.0, 1.0]])
+    assert g.multimodal is g.multimodal  # computed once per gallery
 
 
 def test_hit_neither_parses_the_dataset_nor_encodes(pipe, tmp_path, monkeypatch):
@@ -210,7 +218,7 @@ def test_hit_neither_parses_the_dataset_nor_encodes(pipe, tmp_path, monkeypatch)
 # anything stale, corrupt or unreadable takes the uncached path
 # ---------------------------------------------------------------------------
 
-KEYED_FILES = ["run/checkpoint.blm"] + [f"data/{rel}" for rel in gallery.DATA_FILES]
+KEYED_FILES = ["run/checkpoint.blm"] + [f"data/{rel}" for rel in synth.SPLIT_FILES]
 
 
 def test_keyed_files_are_the_files_the_cli_reads(pipe, monkeypatch):
@@ -222,8 +230,8 @@ def test_keyed_files_are_the_files_the_cli_reads(pipe, monkeypatch):
         return real_open(path, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", recording_open)
-    cli._load_split_dirs(str(pipe["data"]))
-    assert sorted(opened) == sorted(gallery.DATA_FILES)
+    synth.load_split(str(pipe["data"]))
+    assert sorted(opened) == sorted(synth.SPLIT_FILES)
     assert len(KEYED_FILES) == 10
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from listalign import synth
-from listalign.errors import ConfigError, DegenerateInput
+from listalign.errors import ConfigError, CorruptFile, DegenerateInput
 
 
 def small_config(**overrides):
@@ -219,6 +219,19 @@ class TestPersistence:
         cfg = small_config()
         synth.save_dataset(str(tmp_path), synth.generate(cfg), cfg)
         assert synth.load_generator_config(str(tmp_path)) == cfg
+
+    @pytest.mark.parametrize("listing_id, fits", [
+        (2**63 - 1, True), (-(2**63), True), (2**63, False), (-(2**63) - 1, False),
+    ])
+    def test_ids_load_only_within_int64(self, tmp_path, listing_id, fits):
+        records = synth.generate(small_config(n_listings=3))
+        records[1].id = listing_id
+        synth.save_dataset(str(tmp_path), records)
+        if fits:
+            assert [r.id for r in synth.load_dataset(str(tmp_path))] == [0, listing_id, 2]
+        else:
+            with pytest.raises(CorruptFile, match="outside int64"):
+                synth.load_dataset(str(tmp_path))
 
 
 class TestPacking:
