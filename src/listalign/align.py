@@ -367,8 +367,9 @@ def train(
                         acc_grads[name] = acc_grads[name] + grads[name]
                 acc_count += 1
                 if acc_count == schedule.grad_accum or b == batches_per_epoch - 1:
-                    for name in acc_grads:
-                        acc_grads[name] = acc_grads[name] / acc_count
+                    if acc_count > 1:  # g / 1.0 == g bit for bit: skip that pass
+                        for name in acc_grads:
+                            acc_grads[name] = acc_grads[name] / acc_count
                     lr = learning_rate_at(step, stage.lr, schedule.warmup_steps, horizon)
                     adam_step(groups, acc_grads, state, schedule.adam, step, lr)
                     gnorm = float(

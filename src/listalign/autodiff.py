@@ -12,6 +12,13 @@ backward raises StaleTape.
 
 Broadcasting follows numpy; gradients are summed back over broadcast axes.
 
+Fused ops record a repeated composite as one node with a closed-form backward:
+linear (matmul plus bias), layer_norm, softmax, log_softmax, logsumexp, and
+split_heads/merge_heads (attention's put-rows, reshape and transpose). Each
+fused forward replays the composite's numpy operations in the same order, so
+its value has the composite's bits; only the backward's summation order
+differs.
+
 Row stability: matmul gives a row the same bits alone or inside any batch.
 With a 2-D right operand (every weight, and the logit product) the left
 operand's rows run in fixed 8-row tiles, one same-shape BLAS gemm per tile;
@@ -34,7 +41,8 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul", "pow_const",
     "exp", "log", "sqrt", "tanh", "gelu", "log_sigmoid",
     "vsum", "vmean", "reshape", "transpose", "getitem", "take_rows", "put_rows",
-    "log_softmax", "logsumexp",
+    "linear", "layer_norm", "softmax", "log_softmax", "logsumexp",
+    "split_heads", "merge_heads",
 ]
 
 _TAPE_STACK: list["Tape"] = []
@@ -277,6 +285,28 @@ def matmul(a, b) -> Var:
     return _make(out_val, (a, b), grad_fn)
 
 
+def linear(x, w, b) -> Var:
+    """x (..., k) @ w (k, n) + b (n,) as one node: matmul's tiled product with
+    the bias added in place, so rows keep matmul's batch-independent bits."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    xv, wv = x.value, w.value
+    out_val = _tiled_matmul(xv, wv)
+    out_val += b.value
+
+    def grad_fn(g):
+        k, n = wv.shape
+        grads = []
+        if x.requires_grad:
+            grads.append((x, g @ wv.T))
+        if w.requires_grad:
+            grads.append((w, xv.reshape(-1, k).T @ g.reshape(-1, n)))
+        if b.requires_grad:
+            grads.append((b, g.reshape(-1, n).sum(axis=0)))
+        return grads
+
+    return _make(out_val, (x, w, b), grad_fn)
+
+
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
 # ---------------------------------------------------------------------------
@@ -311,9 +341,15 @@ def gelu(a) -> Var:
     """Tanh-form GELU; the backward pass is the exact derivative of this form."""
     a = _lift(a)
     x = a.value
-    inner = _GELU_C * (x + 0.044715 * x * x * x)
-    t = np.tanh(inner)
-    out_val = 0.5 * x * (1.0 + t)
+    # tanh(C * (x + 0.044715 * x * x * x)) in one buffer, in that operation order
+    t = 0.044715 * x
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_val = 0.5 * x
+    out_val *= 1.0 + t
 
     def grad_fn(g):
         d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
@@ -431,26 +467,113 @@ def put_rows(a, rows, shape) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# composite softmax helpers
+# fused composites
 # ---------------------------------------------------------------------------
+
+def _logsumexp_value(v: np.ndarray, axis) -> np.ndarray:
+    """log(sum(exp(v - m))) + m with keepdims, for the row max m (0 where a
+    row is all -inf), in the composite's operation order."""
+    m = np.max(v, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    z = v - m
+    np.exp(z, out=z)
+    lse = np.log(z.sum(axis=axis, keepdims=True))
+    lse += m
+    return lse
+
 
 def logsumexp(a, axis, keepdims=False) -> Var:
     """Stable logsumexp; the subtracted max is treated as a constant, which
     leaves the gradient exact."""
     a = _lift(a)
-    m = np.max(a.value, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)  # all -inf rows stay well-defined
-    z = exp(sub(a, m))
-    out = add(log(vsum(z, axis=axis, keepdims=True)), m)
-    if not keepdims:
-        kept = tuple(d for i, d in enumerate(out.value.shape) if i != axis % out.value.ndim)
-        out = reshape(out, kept)
-    return out
+    lse = _logsumexp_value(a.value, axis)
+
+    def grad_fn(g):
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        return ((a, g * np.exp(a.value - lse)),)
+
+    return _make(lse if keepdims else np.squeeze(lse, axis), (a,), grad_fn)
 
 
 def log_softmax(a, axis) -> Var:
     a = _lift(a)
-    return sub(a, logsumexp(a, axis=axis, keepdims=True))
+    out_val = a.value - _logsumexp_value(a.value, axis)
+
+    def grad_fn(g):
+        return ((a, g - np.exp(out_val) * g.sum(axis=axis, keepdims=True)),)
+
+    return _make(out_val, (a,), grad_fn)
+
+
+def softmax(a, axis) -> Var:
+    """exp(log_softmax(a)) with its bits, as one node; -inf entries get 0."""
+    a = _lift(a)
+    out_val = a.value - _logsumexp_value(a.value, axis)
+    np.exp(out_val, out=out_val)
+
+    def grad_fn(g):
+        return ((a, out_val * (g - (g * out_val).sum(axis=axis, keepdims=True))),)
+
+    return _make(out_val, (a,), grad_fn)
+
+
+def layer_norm(x, g, b, eps: float) -> Var:
+    """(x - mean) / sqrt(var + eps) * g + b over the last axis, as one node."""
+    x, g, b = _lift(x), _lift(g), _lift(b)
+    xc = x.value - x.value.mean(axis=-1, keepdims=True)
+    std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc / std
+    out_val = xhat * g.value
+    out_val += b.value
+
+    def grad_fn(gy):
+        grads = []
+        if x.requires_grad:
+            d = gy * g.value
+            proj = (d * xhat).mean(axis=-1, keepdims=True)
+            d -= d.mean(axis=-1, keepdims=True)
+            d -= xhat * proj
+            d /= std
+            grads.append((x, d))
+        if g.requires_grad:
+            grads.append((g, _unbroadcast(gy * xhat, g.value.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(gy, b.value.shape)))
+        return grads
+
+    return _make(out_val, (x, g, b), grad_fn)
+
+
+def split_heads(a, rows, shape, axes=(0, 2, 1, 3)) -> Var:
+    """put_rows, reshape and transpose as one node: a's (R, H * dh) rows at
+    distinct flat slots rows of zeros shaped (B, P, H, dh), viewed with axes
+    permuted, (B, H, P, dh) by default."""
+    a = _lift(a)
+    d = a.value.shape[-1]
+    padded = np.zeros((shape[0] * shape[1], d))
+    padded[rows] = a.value
+    inverse = np.argsort(axes)
+
+    def grad_fn(g):
+        return ((a, np.transpose(g, inverse).reshape(-1, d)[rows]),)
+
+    return _make(np.transpose(padded.reshape(shape), axes), (a,), grad_fn)
+
+
+def merge_heads(a, rows) -> Var:
+    """split_heads' inverse: the rows at distinct flat slots rows of the
+    (B, P, H * dh) merge of a (B, H, P, dh)."""
+    a = _lift(a)
+    B, H, P, dh = a.value.shape
+
+    def grad_fn(g):
+        full = np.zeros((B * P, H * dh))
+        full[rows] = g
+        return ((a, np.transpose(full.reshape(B, P, H, dh), (0, 2, 1, 3))),)
+
+    merged = np.transpose(a.value, (0, 2, 1, 3)).reshape(B * P, H * dh)
+    return _make(merged[rows], (a,), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Exit codes follow one rule, applied in ``main`` alone: 0 success; 2 for a
 ConfigError or any OSError (a bad config, argument, or input or output path,
-including a corrupt or truncated input file and a missing --model); otherwise
+including a corrupt or truncated input file, a missing --model, and a
+checkpoint whose input widths do not fit the dataset); otherwise
 the failing stage's own code: 3 train, 4 quantize, 5 eval and report, 6 search
 (an unknown listing id, or a corrupt or truncated search --model), 1 gen.
 Artifacts are written atomically and contain no timestamps, so a rerun with
@@ -48,6 +49,19 @@ def _read_input(load, path: str, what: str):
         return load(path)
     except (OSError, CorruptFile) as exc:
         raise ConfigError(f"cannot read {what}: {exc}")
+
+
+def _embed_if_fits(args, ps, te, gcfg, records):
+    """gallery.embed, or a ConfigError naming both paths when the checkpoint's
+    input widths are not the dataset's."""
+    takes = (ps.config.d_in, ps.config.p_max, te.config.dims[0])
+    data = (gcfg.d_photo, gcfg.p_max, gcfg.d_text)
+    if takes != data:
+        raise ConfigError(
+            f"cannot use checkpoint {args.model} with dataset under {args.data}: the checkpoint "
+            f"takes (d_photo, p_max, d_text) = {takes}, the dataset has {data}"
+        )
+    return gallerymod.embed(ps, te, records)
 
 
 def _clamp_ks(ks, n: int):
@@ -193,11 +207,11 @@ def _mean_ndcg(tx_emb, ps_emb, ids, query_rows, depth: int) -> float:
 
 def cmd_eval(args) -> int:
     # the probes need the records' attributes, so the dataset loads either way
-    train_recs, holdout_recs, _ = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
+    train_recs, holdout_recs, gcfg = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
     g = gallerymod.cached(args.model, args.data)
     if g is None:
         ps, te, _extra = _read_input(modelmod.load_checkpoint, args.model, "checkpoint")
-        g = gallerymod.embed(ps, te, train_recs + holdout_recs)
+        g = _embed_if_fits(args, ps, te, gcfg, train_recs + holdout_recs)
     ps_emb, tx_emb = g.photo, g.text
     n = len(g.ids)
     query_rows = np.arange(len(train_recs), n)
@@ -251,10 +265,10 @@ def cmd_search(args) -> int:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
     g = gallerymod.cached(args.model, args.data)
     if g is None:
-        train_recs, holdout_recs, _ = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
+        train_recs, holdout_recs, gcfg = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
         # a missing --model is an OSError (exit 2), a corrupt one a search failure
         ps, te, _extra = modelmod.load_checkpoint(args.model)
-        g = gallerymod.embed(ps, te, train_recs + holdout_recs)
+        g = _embed_if_fits(args, ps, te, gcfg, train_recs + holdout_recs)
     row_by_id = {listing: i for i, listing in enumerate(g.ids.tolist())}
     if args.query_id not in row_by_id:
         raise UnknownId(f"no listing with id {args.query_id}")

@@ -9,10 +9,14 @@ vectors in the same space; forward_batch pairs them into a cosine logit matrix.
 
 All math runs in float64 through autodiff ops. forward_batch records them on a
 tape; the encode_* functions run without one, so their ops record nothing and
-each intermediate is freed once used. Past the input projection, per-slot layers
-run on real photo slots only. Layer statistics are always per example, and
-padded photo rows cannot influence real positions, so encoding a listing alone
-or inside any batch is bit-identical.
+each intermediate is freed once used. Affine maps, layer norms, the attention
+softmax and the attention head split and merge are fused autodiff ops, one tape
+node each; a fused op's forward replays its composite's numpy operations
+exactly, so the encoders' output bits are those of the composite graph. Every
+per-slot layer, the input projection included, runs on real photo slots only.
+Layer statistics are always per example, and padded photo rows cannot
+influence real positions, so encoding a listing alone or inside any batch is
+bit-identical.
 
 Checkpoint format: magic "BLMODEL1", u32 header length, canonical-JSON header
 (architecture, freeze flags, parameter manifest), float32 payload in manifest
@@ -201,13 +205,6 @@ def set_text_freeze(params: TextTowerParams, unfrozen_layers) -> None:
 # graph builders
 # ---------------------------------------------------------------------------
 
-def _layer_norm(x: Var, g: Var, b: Var) -> Var:
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / ad.sqrt(var + LN_EPS) * g + b
-
-
 def _l2_normalize_rows(y: Var) -> Var:
     """Unit-normalize rows; rows with norm < 1e-12 become the first basis vector."""
     norms = ad.sqrt((y * y).sum(axis=-1, keepdims=True))
@@ -234,71 +231,68 @@ def _attention(h: Var, slots: np.ndarray, out_slots: np.ndarray, mask: np.ndarra
     cfg = p.config
     t = p.tensors
     B, _, _, P = mask.shape
-    dm = cfg.d_model
     H = cfg.n_heads
-    dh = dm // H
+    shape = (B, P, H, cfg.d_model // H)
     pre = f"layer{i}."
 
-    def heads(name: str) -> Var:
-        rows = h @ t[pre + "w_" + name] + t[pre + "b_" + name]
-        padded = ad.put_rows(rows, slots, (B, P, dm))
-        return ad.transpose(padded.reshape(B, P, H, dh), (0, 2, 1, 3))
+    def heads(name: str, axes=(0, 2, 1, 3)) -> Var:
+        rows = ad.linear(h, t[pre + "w_" + name], t[pre + "b_" + name])
+        return ad.split_heads(rows, slots, shape, axes)
 
-    q, k, v = heads("q"), heads("k"), heads("v")
-    scores = q @ ad.transpose(k, (0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
+    q = heads("q")
+    k_t = heads("k", (0, 2, 3, 1))  # (B, H, d_h, P): already transposed for q @ k^T
+    v = heads("v")
+    scores = q @ k_t * (1.0 / np.sqrt(shape[-1]))
     scores = scores + ad.constant(mask)  # -inf on padded key positions
-    attn = ad.exp(ad.log_softmax(scores, axis=-1))
-    ctx = ad.take_rows(ad.transpose(attn @ v, (0, 2, 1, 3)).reshape(B, P, dm), out_slots)
-    return ctx @ t[pre + "w_o"] + t[pre + "b_o"]
+    ctx = ad.merge_heads(ad.softmax(scores, axis=-1) @ v, out_slots)
+    return ad.linear(ctx, t[pre + "w_o"], t[pre + "b_o"])
 
 
 def _encode_photoset_graph(p: SetEncoderParams, photos: np.ndarray, counts: np.ndarray) -> Var:
     """(B, p_max, d_in) padded photo buffers -> (B, d_out) unit rows.
 
-    Past the input projection the residual stream holds real photo slots
-    only, (R, d_model) for R = counts.sum(), so per-slot layers do no work on
-    padding. With last pooling the final layer's output projection and FFN
-    run on the pooled slot alone.
+    The residual stream holds real photo slots only, (R, d_model) for
+    R = counts.sum(), from the input projection on, so per-slot layers do no
+    work on padding. With last pooling the final layer's output projection
+    and FFN run on the pooled slot alone.
     """
     cfg = p.config
     t = p.tensors
-    B, P, _ = photos.shape
-    x = ad.constant(photos) @ t["w_in"] + t["b_in"]
-    if cfg.pool == "last":
-        # mean pooling is the order-free ablation: no positional table, so the
-        # encoder sees the photos as a pure set
-        x = x + t["pos_emb"]
+    B, P, d_in = photos.shape
     real = np.arange(P)[None, :] < counts[:, None]
     slots = np.flatnonzero(real)
     mask4 = np.where(real, 0.0, -np.inf).reshape(B, 1, 1, P)
-    x = ad.take_rows(x, slots)
+    x = ad.linear(photos.reshape(-1, d_in)[slots], t["w_in"], t["b_in"])
+    if cfg.pool == "last":
+        # mean pooling is the order-free ablation: no positional table, so the
+        # encoder sees the photos as a pure set
+        x = x + t["pos_emb"][slots % P]
     last_rows = np.cumsum(counts) - 1  # each listing's last real slot, as a row of x
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
-        h = _layer_norm(x, t[pre + "ln1_g"], t[pre + "ln1_b"])
+        h = ad.layer_norm(x, t[pre + "ln1_g"], t[pre + "ln1_b"], LN_EPS)
         if cfg.pool == "last" and i == cfg.n_layers - 1:
             x = ad.take_rows(x, last_rows) + _attention(h, slots, slots[last_rows], mask4, p, i)
         else:
             x = x + _attention(h, slots, slots, mask4, p, i)
-        h = _layer_norm(x, t[pre + "ln2_g"], t[pre + "ln2_b"])
-        h = ad.gelu(h @ t[pre + "w_ff1"] + t[pre + "b_ff1"]) @ t[pre + "w_ff2"] + t[pre + "b_ff2"]
-        x = x + h
+        h = ad.layer_norm(x, t[pre + "ln2_g"], t[pre + "ln2_b"], LN_EPS)
+        h = ad.gelu(ad.linear(h, t[pre + "w_ff1"], t[pre + "b_ff1"]))
+        x = x + ad.linear(h, t[pre + "w_ff2"], t[pre + "b_ff2"])
     if cfg.pool == "last":
         pooled = x
     else:
         padded = ad.put_rows(x, slots, (B, P, cfg.d_model))
         weights = ad.constant(real[:, :, None].astype(np.float64))
         pooled = (padded * weights).sum(axis=1) / ad.constant(counts.astype(np.float64)[:, None])
-    out = pooled @ t["w_out"] + t["b_out"]
-    return _l2_normalize_rows(out)
+    return _l2_normalize_rows(ad.linear(pooled, t["w_out"], t["b_out"]))
 
 
 def _encode_text_graph(p: TextTowerParams, texts: np.ndarray) -> Var:
     t = p.tensors
-    x: Var = ad.constant(texts)
+    x = texts
     n = p.config.n_layers
     for i in range(n):
-        x = x @ t[f"text{i}.w"] + t[f"text{i}.b"]
+        x = ad.linear(x, t[f"text{i}.w"], t[f"text{i}.b"])
         if i < n - 1:
             x = ad.gelu(x)
     return _l2_normalize_rows(x)

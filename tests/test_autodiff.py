@@ -224,6 +224,133 @@ class TestGradients:
         check_grad(build, x0, rtol=1e-5)
 
 
+def composite_logsumexp(a, axis):
+    """logsumexp from primitive tape nodes, keepdims, the row max held constant."""
+    m = np.max(a.value, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return ad.log(ad.exp(a - m).sum(axis=axis, keepdims=True)) + m
+
+
+def composite_layer_norm(x, g, b, eps):
+    """The layer norm as nine primitive tape nodes."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc / ad.sqrt(var + eps) * g + b
+
+
+# (listings, slots, heads, head width) and the flat real slots: one listing
+# holds a single real slot, one is full, one is half full
+HEAD_SHAPE = (3, 4, 2, 3)
+HEAD_ROWS = np.array([0, 4, 5, 6, 7, 8, 9])
+HEAD_AXES = [(0, 2, 1, 3), (0, 2, 3, 1)]
+
+
+def masked_scores(rng):
+    """(4, 5) scores with -inf entries, one row holding a single finite entry."""
+    mask = np.zeros((4, 5))
+    mask[1, [0, 3]] = -np.inf
+    mask[2, 1:] = -np.inf
+    return rng.normal(size=(4, 5)) * 3, mask
+
+
+class TestFusedOps:
+    """Each fused op: its forward has the composite's bits, its backward matches
+    finite differences."""
+
+    def test_linear_value_is_matmul_plus_bias(self):
+        rng = np.random.default_rng(20)
+        for x in (rng.normal(size=(13, 5)), rng.normal(size=(2, 7, 5))):
+            w, b = ad.constant(rng.normal(size=(5, 4))), ad.constant(rng.normal(size=(4,)))
+            np.testing.assert_array_equal(ad.linear(x, w, b).value, (ad.constant(x) @ w + b).value)
+
+    @pytest.mark.parametrize("live", [0, 1, 2], ids=["x", "w", "b"])
+    def test_linear_grads_with_the_other_operands_frozen(self, live):
+        rng = np.random.default_rng(21)
+        operands = [rng.normal(size=(11, 5)), rng.normal(size=(5, 4)), rng.normal(size=(4,))]
+        mix = rng.normal(size=(11, 4))
+
+        def build(p):
+            args = [p if i == live else ad.constant(v) for i, v in enumerate(operands)]
+            return (ad.linear(*args) * mix).sum()
+
+        check_grad(build, operands[live])
+        p = ad.param(operands[live])
+        with ad.Tape() as tape:
+            loss = build(p)
+        assert list(ad.backward(tape, loss)) == [id(p)]
+
+    def test_layer_norm_value_is_the_composite(self):
+        rng = np.random.default_rng(22)
+        x, g, b = rng.normal(size=(3, 4, 6)) * 5, rng.normal(size=(6,)), rng.normal(size=(6,))
+        np.testing.assert_array_equal(
+            ad.layer_norm(x, g, b, 1e-5).value,
+            composite_layer_norm(ad.constant(x), g, b, 1e-5).value,
+        )
+
+    @pytest.mark.parametrize("live", [0, 1, 2], ids=["x", "gain", "bias"])
+    def test_layer_norm_grads_with_broadcast_gain_and_bias(self, live):
+        rng = np.random.default_rng(23)
+        operands = [rng.normal(size=(3, 4, 6)) * 2, rng.normal(size=(6,)), rng.normal(size=(6,))]
+        mix = rng.normal(size=(3, 4, 6))
+
+        def build(p):
+            args = [p if i == live else ad.constant(v) for i, v in enumerate(operands)]
+            return (ad.layer_norm(*args, 1e-5) * mix).sum()
+
+        check_grad(build, operands[live])
+
+    def test_softmax_family_values_are_the_composites(self):
+        x, mask = masked_scores(np.random.default_rng(24))
+        a = ad.constant(x + mask)
+        for axis in (0, 1):
+            ref = a - composite_logsumexp(a, axis)
+            np.testing.assert_array_equal(ad.log_softmax(a, axis).value, ref.value)
+            np.testing.assert_array_equal(ad.softmax(a, axis).value, ad.exp(ref).value)
+            np.testing.assert_array_equal(ad.logsumexp(a, axis, keepdims=True).value,
+                                          composite_logsumexp(a, axis).value)
+        np.testing.assert_array_equal(ad.softmax(a, 1).value[2], [1.0, 0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("op", ["softmax", "log_softmax", "logsumexp"])
+    def test_softmax_family_grads_with_masked_entries(self, op):
+        rng = np.random.default_rng(25)
+        x0, mask = masked_scores(rng)
+        fn = getattr(ad, op)
+        # log_softmax is -inf at masked entries: weigh the finite outputs only
+        finite = np.nonzero(np.isfinite(mask)) if op != "logsumexp" else slice(None)
+        for axis in (0, 1):
+            mix = rng.normal(size=fn(x0 + mask, axis).value[finite].shape)
+            check_grad(lambda p: (fn(p + ad.constant(mask), axis)[finite] * mix).sum(), x0)
+
+    @pytest.mark.parametrize("axes", HEAD_AXES, ids=["heads", "heads-transposed"])
+    def test_split_heads_is_put_rows_reshape_transpose(self, axes):
+        rng = np.random.default_rng(26)
+        B, P, H, dh = HEAD_SHAPE
+        x0 = rng.normal(size=(len(HEAD_ROWS), H * dh))
+        composite = ad.transpose(ad.put_rows(x0, HEAD_ROWS, (B, P, H * dh)).reshape(B, P, H, dh), axes)
+        fused = ad.split_heads(x0, HEAD_ROWS, HEAD_SHAPE, axes)
+        np.testing.assert_array_equal(fused.value, composite.value)
+        assert fused.value.strides == composite.value.strides
+        mix = rng.normal(size=fused.shape)
+        check_grad(lambda p: (ad.split_heads(p, HEAD_ROWS, HEAD_SHAPE, axes) * mix).sum(), x0)
+
+    def test_merge_heads_is_transpose_reshape_take_rows(self):
+        rng = np.random.default_rng(27)
+        B, P, H, dh = HEAD_SHAPE
+        x0 = rng.normal(size=(B, H, P, dh))
+        composite = ad.take_rows(ad.transpose(ad.constant(x0), (0, 2, 1, 3)).reshape(B, P, H * dh),
+                                 HEAD_ROWS)
+        np.testing.assert_array_equal(ad.merge_heads(x0, HEAD_ROWS).value, composite.value)
+        mix = rng.normal(size=(len(HEAD_ROWS), H * dh))
+        check_grad(lambda p: (ad.merge_heads(p, HEAD_ROWS) * mix).sum(), x0)
+
+    def test_gelu_value_is_the_tanh_form(self):
+        x = np.random.default_rng(28).normal(size=(7, 5)) * 3
+        c = np.sqrt(2.0 / np.pi)
+        np.testing.assert_array_equal(
+            ad.gelu(x).value, 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x))))
+
+
 class TestTapeLifecycle:
     def test_second_backward_raises_stale_tape(self):
         p = ad.param(np.ones(3).reshape(1, 3))

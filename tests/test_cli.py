@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import listalign
-from listalign import cli, codec as codecmod, config as configmod, gallery, synth
+from listalign import cli, codec as codecmod, config as configmod, gallery, model, synth
 from listalign.cli import main
 from listalign.errors import ConfigError
 
@@ -495,6 +495,26 @@ def test_search_top_below_one_exits_2(workspace, capsys, top):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--top" in err
+
+
+@pytest.mark.parametrize("stage, extra", [("search", ["--query-id", "0"]), ("eval", ["--out", "OUT"])])
+@pytest.mark.parametrize("width", ["d_in", "p_max", "d_text"])
+def test_checkpoint_that_does_not_fit_the_dataset_exits_2(workspace, tmp_path, capsys, stage, extra, width):
+    gen = TINY_CONFIG["generator"]
+    widths = {"d_in": gen["d_photo"], "p_max": gen["p_max"], "d_text": gen["d_text"]}
+    widths[width] += 1
+    cfg = model.SetEncoderConfig(d_in=widths["d_in"], d_model=8, n_layers=1, n_heads=2, d_out=8,
+                                 p_max=widths["p_max"])
+    ckpt = tmp_path / "other.blm"  # no gallery beside it: the stage must encode
+    model.save_checkpoint(str(ckpt), model.init_set_encoder(cfg),
+                          model.init_text_tower(model.TextTowerConfig(dims=(widths["d_text"], 8))))
+    argv = [stage, "--data", workspace["data"], "--model", ckpt]
+    argv += [tmp_path / "r.json" if a == "OUT" else a for a in extra]
+    assert main([str(a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: cannot use checkpoint {ckpt} with dataset under {workspace['data']}")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_eval_missing_checkpoint_exits_2(workspace, tmp_path):

@@ -163,11 +163,12 @@ def test_search_unknown_id_on_a_hit_exits_6(pipe, tmp_path):
 def test_checkpoint_that_does_not_fit_the_dataset_fails_before_the_id_lookup(pipe, tmp_path):
     _, small_run = _pipeline(tmp_path / "small", SMALL_CONFIG)
     ckpt = small_run / "checkpoint.blm"
-    for query in (pipe["ids"][0], 999999):  # a miss encodes first, so both fail alike
+    unfit = f"config error: cannot use checkpoint {ckpt} with dataset under {pipe['data']}"
+    for query in (pipe["ids"][0], 999999):  # a miss checks the fit first, so both fail alike
         code, out, err = _cli("search", "--data", pipe["data"], "--model", ckpt, "--query-id", query)
-        assert (code, out) == (6, "") and err.startswith("search failed: photos must be")
+        assert (code, out) == (2, "") and err.startswith(unfit)
     code, _, err = _cli("eval", "--data", pipe["data"], "--model", ckpt, "--out", tmp_path / "r.json")
-    assert code == 5 and err.startswith("evaluation failed: photos must be")
+    assert code == 2 and err.startswith(unfit)
 
 
 def test_repeated_id_resolves_to_its_last_row(pipe, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the set encoder, text tower, forward_batch, and checkpoints."""
 
+import dataclasses
 import functools
 import json
 import os
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 
 import listalign
 from listalign import autodiff as ad
-from listalign import model
+from listalign import align, model, synth
+from listalign.config import PipelineConfig
 from listalign.errors import ConfigError, CorruptFile, DegenerateInput, ListalignError, ShapeMismatch
 
 from conftest import assert_every_prefix_corrupt
+from test_autodiff import composite_layer_norm, composite_logsumexp
 
 
 def tiny_setup(seed=0, pool="last", p_max=3, n_layers=2):
@@ -228,7 +231,7 @@ def dense_attention(x, mask, p, i):
     v = heads(x @ t[pre + "w_v"] + t[pre + "b_v"])
     scores = q @ ad.transpose(k, (0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
     scores = scores + ad.constant(mask)
-    attn = ad.exp(ad.log_softmax(scores, axis=-1))
+    attn = ad.exp(scores - composite_logsumexp(scores, -1))  # primitive nodes only
     ctx = ad.transpose(attn @ v, (0, 2, 1, 3)).reshape(B, P, dm)
     return ctx @ t[pre + "w_o"] + t[pre + "b_o"]
 
@@ -245,9 +248,9 @@ def dense_encode_graph(p, photos, counts):
     mask4 = key_mask.reshape(B, 1, 1, P)
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
-        h = model._layer_norm(x, t[pre + "ln1_g"], t[pre + "ln1_b"])
+        h = composite_layer_norm(x, t[pre + "ln1_g"], t[pre + "ln1_b"], model.LN_EPS)
         x = x + dense_attention(h, mask4, p, i)
-        h = model._layer_norm(x, t[pre + "ln2_g"], t[pre + "ln2_b"])
+        h = composite_layer_norm(x, t[pre + "ln2_g"], t[pre + "ln2_b"], model.LN_EPS)
         h = ad.gelu(h @ t[pre + "w_ff1"] + t[pre + "b_ff1"]) @ t[pre + "w_ff2"] + t[pre + "b_ff2"]
         x = x + h
     if cfg.pool == "last":
@@ -340,6 +343,28 @@ class TestForwardBatch:
             errors = per_tensor_fd_errors(loss_builder, [ps, te])
             worst = max(errors.values())
             assert worst < 1e-4, {k: v for k, v in errors.items() if v >= 1e-4}
+
+    def test_default_step_records_at_most_80_tape_nodes(self):
+        # Default config, last pooling, InfoNCE: 73 nodes.
+        #   input: linear, pos_emb row gather, add                           3
+        #   layer 0: layer_norm, 3 x (linear, split_heads), q @ k^T, scale,
+        #     mask add, softmax, @ v, merge_heads, linear, residual add,
+        #     layer_norm, linear, gelu, linear, residual add                20
+        #   layer 1: the same plus take_rows of the pooled slots          21
+        #   output: linear, then l2 normalize (mul, vsum, sqrt, div)        5
+        #   text tower: 3 linear, 2 gelu, l2 normalize                      9
+        #   logits: transpose, matmul                                       2
+        #   loss: neg, exp, div, 2 x (log_softmax, getitem, vmean, neg),
+        #     add, mul                                                      13
+        pc = PipelineConfig()
+        ps = model.init_set_encoder(pc.set_encoder_config(), seed=0)
+        te = model.init_text_tower(pc.text_tower_config(), seed=1)
+        records = synth.generate(dataclasses.replace(pc.generator, n_listings=64))
+        photos, counts = synth.pack_photos(records)
+        logits, tape = model.forward_batch(ps, te, photos, counts, synth.pack_texts(records))
+        with tape:
+            align.compute_loss(align.create_loss_params(pc.loss), logits)
+        assert len(tape) <= 80
 
     def test_frozen_text_layers_get_zero_gradient(self):
         cfg, ps, te = tiny_setup()
