@@ -40,7 +40,7 @@ __all__ = [
     "backward",
     "add", "sub", "mul", "div", "neg", "matmul", "pow_const",
     "exp", "log", "sqrt", "tanh", "gelu", "log_sigmoid",
-    "vsum", "vmean", "reshape", "transpose", "getitem", "take_rows", "put_rows",
+    "vsum", "vmean", "reshape", "transpose", "getitem", "put_rows",
     "linear", "layer_norm", "softmax", "log_softmax", "logsumexp",
     "split_heads", "merge_heads",
 ]
@@ -437,19 +437,6 @@ def getitem(a, key) -> Var:
         return ((a, full),)
 
     return _make(a.value[key], (a,), grad_fn)
-
-
-def take_rows(a, rows) -> Var:
-    """Rows of a, read as (N, d) over its leading axes, at distinct flat indices."""
-    a = _lift(a)
-    d = a.value.shape[-1]
-
-    def grad_fn(g):
-        full = np.zeros(a.value.shape)
-        full.reshape(-1, d)[rows] = g
-        return ((a, full),)
-
-    return _make(a.value.reshape(-1, d)[rows], (a,), grad_fn)
 
 
 def put_rows(a, rows, shape) -> Var:

@@ -6,6 +6,14 @@ projection followed by scalar quantization. Encoded vectors are rows of uint8
 codes (a CodeBlock); decode maps codes back to float vectors in the original
 input space.
 
+Each KINDS row names a codec class and its trainer. The class owns its
+encode, decode and on-disk layout; train_codec(settings, x), encode(codec, x)
+and decode(codec, block) are the kind-free front doors. The module functions
+left beside the classes are the *_train trainers, which KINDS looks up when
+called, and scalar_encode/scalar_decode: ScalarQuantizer's methods forward to
+them because PcaCodec and eval.pca_dim_sweep quantize projected rows with
+them, and perfbench/tracing.py times them by name.
+
 Trained codec parameters are rounded to float32 before use so that the values in
 memory equal the values on disk; encoding after a save/load round-trip is
 bit-identical to encoding before it.
@@ -57,17 +65,11 @@ __all__ = [
     "ScalarQuantizer",
     "PcaCodec",
     "pq_train",
-    "pq_encode",
-    "pq_decode",
     "opq_train",
-    "opq_encode",
-    "opq_decode",
     "scalar_train",
     "scalar_encode",
     "scalar_decode",
     "pca_codec_train",
-    "pca_codec_encode",
-    "pca_codec_decode",
     "CodecSettings",
     "KINDS",
     "train_codec",
@@ -111,6 +113,23 @@ class CodeBlock:
             raise DegenerateInput("CodeBlock: codes must be uint8")
 
 
+def _input(x, width: int, who: str) -> np.ndarray:
+    """x as a float64 matrix of the given width; another width is ShapeMismatch."""
+    x = as_matrix(x)
+    if x.shape[1] != width:
+        raise ShapeMismatch(f"{who}: expected {width} columns, got {x.shape[1]}")
+    return x
+
+
+def _codes(block: CodeBlock, width: int, who: str) -> np.ndarray:
+    """block's codes, which must be width bytes per vector."""
+    if block.bytes_per_vector != width:
+        raise ShapeMismatch(
+            f"{who}: block has {block.bytes_per_vector} bytes/vector, expected {width}"
+        )
+    return block.codes
+
+
 # ---------------------------------------------------------------------------
 # product quantization
 # ---------------------------------------------------------------------------
@@ -139,10 +158,14 @@ class PqCodebook:
         return _score_table(self.codebooks)
 
     def encode(self, x) -> CodeBlock:
-        return pq_encode(self, x)
+        """Encode rows of x (n x dim) to m bytes per vector."""
+        x = _input(x, self.dim, "PqCodebook.encode")
+        codes = _pq_encode_padded(self, _pad_columns(x, self.padded_dim))
+        return CodeBlock(n=x.shape[0], bytes_per_vector=self.m, codes=codes)
 
     def decode(self, block: CodeBlock) -> np.ndarray:
-        return pq_decode(self, block)
+        """Reconstruct vectors by concatenating the indexed centroids."""
+        return _pq_decode_padded(self, _codes(block, self.m, "PqCodebook.decode"))[:, : self.dim]
 
     def layout(self):
         return (self.dim, self.m, self.k, self.sub_dim), (self.codebooks,)
@@ -219,32 +242,21 @@ def _pq_encode_padded(cb: PqCodebook, xp: np.ndarray) -> np.ndarray:
     return codes
 
 
-def pq_encode(cb: PqCodebook, x) -> CodeBlock:
-    """Encode rows of x (n x dim) to m bytes per vector."""
-    x = as_matrix(x)
-    if x.shape[1] != cb.dim:
-        raise ShapeMismatch(f"pq_encode: expected {cb.dim} columns, got {x.shape[1]}")
-    codes = _pq_encode_padded(cb, _pad_columns(x, cb.padded_dim))
-    return CodeBlock(n=x.shape[0], bytes_per_vector=cb.m, codes=codes)
-
-
 def _pq_decode_padded(cb: PqCodebook, codes: np.ndarray) -> np.ndarray:
     # One gather straight into the (n, m, sub_dim) result, viewed as (n, m * sub_dim).
     return cb.codebooks[np.arange(cb.m), codes].reshape(codes.shape[0], cb.padded_dim)
 
 
-def pq_decode(cb: PqCodebook, block: CodeBlock) -> np.ndarray:
-    """Reconstruct vectors by concatenating the indexed centroids."""
-    if block.bytes_per_vector != cb.m:
-        raise ShapeMismatch(
-            f"pq_decode: block has {block.bytes_per_vector} bytes/vector, codebook wants {cb.m}"
-        )
-    return _pq_decode_padded(cb, block.codes)[:, : cb.dim]
-
-
 # ---------------------------------------------------------------------------
 # rotated product quantization
 # ---------------------------------------------------------------------------
+
+# Rows rotated at once by OPQ encode and decode, so that their padded and
+# rotated temporaries stay a few MB at any batch size. A large block gives a
+# row the bits of a whole-batch product; BLAS may run a short last block of a
+# small matrix through another kernel, which can move the last bits.
+_ROW_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class OpqCodec:
@@ -261,10 +273,22 @@ class OpqCodec:
     objective_history: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def encode(self, x) -> CodeBlock:
-        return opq_encode(self, x)
+        x = _input(x, self.input_dim, "OpqCodec.encode")
+        codes = np.empty((x.shape[0], self.pq.m), dtype=np.uint8)
+        for lo in range(0, x.shape[0], _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            xr = _pad_columns(x[rows], self.rotated_dim) @ self.rotation
+            codes[rows] = _pq_encode_padded(self.pq, xr)
+        return CodeBlock(n=x.shape[0], bytes_per_vector=self.pq.m, codes=codes)
 
     def decode(self, block: CodeBlock) -> np.ndarray:
-        return opq_decode(self, block)
+        codes = _codes(block, self.pq.m, "OpqCodec.decode")
+        out = np.empty((block.n, self.input_dim))
+        for lo in range(0, block.n, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            xr = _pq_decode_padded(self.pq, codes[rows])
+            out[rows] = xr @ self.rotation[: self.input_dim].T
+        return out
 
     def layout(self):
         pq = self.pq
@@ -348,38 +372,6 @@ def opq_train(
     )
 
 
-# Rows rotated at once by OPQ encode and decode, so that their padded and
-# rotated temporaries stay a few MB at any batch size. A large block gives a
-# row the bits of a whole-batch product; BLAS may run a short last block of a
-# small matrix through another kernel, which can move the last bits.
-_ROW_BLOCK = 256
-
-
-def opq_encode(codec: OpqCodec, x) -> CodeBlock:
-    x = as_matrix(x)
-    if x.shape[1] != codec.input_dim:
-        raise ShapeMismatch(f"opq_encode: expected {codec.input_dim} columns, got {x.shape[1]}")
-    codes = np.empty((x.shape[0], codec.pq.m), dtype=np.uint8)
-    for lo in range(0, x.shape[0], _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        xr = _pad_columns(x[rows], codec.rotated_dim) @ codec.rotation
-        codes[rows] = _pq_encode_padded(codec.pq, xr)
-    return CodeBlock(n=x.shape[0], bytes_per_vector=codec.pq.m, codes=codes)
-
-
-def opq_decode(codec: OpqCodec, block: CodeBlock) -> np.ndarray:
-    if block.bytes_per_vector != codec.pq.m:
-        raise ShapeMismatch(
-            f"opq_decode: block has {block.bytes_per_vector} bytes/vector, codec wants {codec.pq.m}"
-        )
-    out = np.empty((block.n, codec.input_dim))
-    for lo in range(0, block.n, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        xr = _pq_decode_padded(codec.pq, block.codes[rows])
-        out[rows] = xr @ codec.rotation[: codec.input_dim].T
-    return out
-
-
 # ---------------------------------------------------------------------------
 # scalar quantization
 # ---------------------------------------------------------------------------
@@ -427,20 +419,14 @@ def scalar_train(x) -> ScalarQuantizer:
 
 def scalar_encode(q: ScalarQuantizer, x) -> CodeBlock:
     """Round-half-to-even onto the grid, clipping out-of-range values."""
-    x = as_matrix(x)
-    if x.shape[1] != q.dim:
-        raise ShapeMismatch(f"scalar_encode: expected {q.dim} columns, got {x.shape[1]}")
+    x = _input(x, q.dim, "scalar_encode")
     grid = np.rint((x - q.mins) / q.scales)
     codes = np.clip(grid, 0.0, 255.0).astype(np.uint8)
     return CodeBlock(n=x.shape[0], bytes_per_vector=q.dim, codes=codes)
 
 
 def scalar_decode(q: ScalarQuantizer, block: CodeBlock) -> np.ndarray:
-    if block.bytes_per_vector != q.dim:
-        raise ShapeMismatch(
-            f"scalar_decode: block has {block.bytes_per_vector} bytes/vector, quantizer wants {q.dim}"
-        )
-    return q.mins + block.codes.astype(np.float64) * q.scales
+    return q.mins + _codes(block, q.dim, "scalar_decode").astype(np.float64) * q.scales
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +443,11 @@ class PcaCodec:
     quantizer: ScalarQuantizer
 
     def encode(self, x) -> CodeBlock:
-        return pca_codec_encode(self, x)
+        x = _input(x, self.input_dim, "PcaCodec.encode")
+        return scalar_encode(self.quantizer, self.pca.project(x))
 
     def decode(self, block: CodeBlock) -> np.ndarray:
-        return pca_codec_decode(self, block)
+        return self.pca.reconstruct(scalar_decode(self.quantizer, block))
 
     def layout(self):
         pca, q = self.pca, self.quantizer
@@ -486,19 +473,6 @@ def pca_codec_train(x, out_dim: int) -> PcaCodec:
     return PcaCodec(
         input_dim=x.shape[1], out_dim=out_dim, pca=model, quantizer=scalar_train(projected)
     )
-
-
-def pca_codec_encode(codec: PcaCodec, x) -> CodeBlock:
-    x = as_matrix(x)
-    if x.shape[1] != codec.input_dim:
-        raise ShapeMismatch(
-            f"pca_codec_encode: expected {codec.input_dim} columns, got {x.shape[1]}"
-        )
-    return scalar_encode(codec.quantizer, codec.pca.project(x))
-
-
-def pca_codec_decode(codec: PcaCodec, block: CodeBlock) -> np.ndarray:
-    return codec.pca.reconstruct(scalar_decode(codec.quantizer, block))
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,7 @@ def _encode_photoset_graph(p: SetEncoderParams, photos: np.ndarray, counts: np.n
         pre = f"layer{i}."
         h = ad.layer_norm(x, t[pre + "ln1_g"], t[pre + "ln1_b"], LN_EPS)
         if cfg.pool == "last" and i == cfg.n_layers - 1:
-            x = ad.take_rows(x, last_rows) + _attention(h, slots, slots[last_rows], mask4, p, i)
+            x = x[last_rows] + _attention(h, slots, slots[last_rows], mask4, p, i)
         else:
             x = x + _attention(h, slots, slots, mask4, p, i)
         h = ad.layer_norm(x, t[pre + "ln2_g"], t[pre + "ln2_b"], LN_EPS)
@@ -281,9 +281,8 @@ def _encode_photoset_graph(p: SetEncoderParams, photos: np.ndarray, counts: np.n
     if cfg.pool == "last":
         pooled = x
     else:
-        padded = ad.put_rows(x, slots, (B, P, cfg.d_model))
-        weights = ad.constant(real[:, :, None].astype(np.float64))
-        pooled = (padded * weights).sum(axis=1) / ad.constant(counts.astype(np.float64)[:, None])
+        padded = ad.put_rows(x, slots, (B, P, cfg.d_model))  # padded slots are 0
+        pooled = padded.sum(axis=1) / ad.constant(counts.astype(np.float64)[:, None])
     return _l2_normalize_rows(ad.linear(pooled, t["w_out"], t["b_out"]))
 
 

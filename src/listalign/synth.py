@@ -407,7 +407,25 @@ def load_generator_config(directory: str) -> GeneratorConfig:
 
 
 def load_split(data_dir: str):
-    """(train records, holdout records, generator config) of a directory gen wrote."""
+    """(train records, holdout records, generator config) of a directory gen wrote.
+
+    Both splits must have train/generator.json's geometry: p_max photo slots
+    per listing and d_photo, d_text and d_latent columns. A sidecar that
+    disagrees raises CorruptFile naming it.
+    """
     train_dir = os.path.join(data_dir, "train")
-    return (load_dataset(train_dir), load_dataset(os.path.join(data_dir, "holdout")),
-            load_generator_config(train_dir))
+    splits = [load_dataset(os.path.join(data_dir, name)) for name in ("train", "holdout")]
+    config = load_generator_config(train_dir)
+    for name, records in zip(("train", "holdout"), splits):
+        r = records[0]
+        for file, got, what, key in (
+            (PHOTOS_FILE, r.photos.shape[0], "photo slots per listing", "p_max"),
+            (PHOTOS_FILE, r.photos.shape[1], "columns", "d_photo"),
+            (TEXT_FILE, r.text_features.shape[0], "columns", "d_text"),
+            (LATENT_FILE, r.latent.shape[0], "columns", "d_latent"),
+        ):
+            want = getattr(config, key)
+            if got != want:
+                raise CorruptFile(f"{os.path.join(data_dir, name, file)}: {got} {what}, but "
+                                  f"{os.path.join(train_dir, CONFIG_FILE)} has {key} {want}")
+    return (*splits, config)

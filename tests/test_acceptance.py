@@ -147,8 +147,8 @@ def test_criterion_04_opq_beats_pq():
     x = rotated_subspace_clusters(42, n=2048, m=4, sub_dim=4, k=16, noise=0.05)
     pq = codecmod.pq_train(x, m=4, k=16, iters=20, seed=7)
     opq = codecmod.opq_train(x, m=4, k=16, outer_iters=12, kmeans_iters=20, seed=7)
-    pq_rep = codecmod.compression_report(x, codecmod.pq_decode(pq, codecmod.pq_encode(pq, x)))
-    opq_rep = codecmod.compression_report(x, codecmod.opq_decode(opq, codecmod.opq_encode(opq, x)))
+    pq_rep = codecmod.compression_report(x, codecmod.decode(pq, codecmod.encode(pq, x)))
+    opq_rep = codecmod.compression_report(x, codecmod.decode(opq, codecmod.encode(opq, x)))
     p50 = pq_rep.levels.index(0.50)
     reduction = (pq_rep.values[p50] - opq_rep.values[p50]) / pq_rep.values[p50] * 100.0
     history = np.asarray(opq.objective_history)
@@ -229,14 +229,14 @@ def test_criterion_08_code_layout(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(1300, 1024))
     opq = codecmod.opq_train(x, m=256, k=256, rotated_dim=1280, outer_iters=1, kmeans_iters=2, seed=0)
-    block = codecmod.opq_encode(opq, x)
+    block = codecmod.encode(opq, x)
     path = tmp_path / "opq_codes.emb"
     codecmod.save_embeddings(str(path), block.codes)
     opq_ok = block.bytes_per_vector == 256 and os.path.getsize(path) == 21 + 1300 * 256
 
     y = rng.normal(size=(200, 64))
     pca = codecmod.pca_codec_train(y, out_dim=40)
-    pblock = codecmod.pca_codec_encode(pca, y)
+    pblock = codecmod.encode(pca, y)
     ppath = tmp_path / "pca_codes.emb"
     codecmod.save_embeddings(str(ppath), pblock.codes)
     pca_ok = pblock.bytes_per_vector == 40 and os.path.getsize(ppath) == 21 + 200 * 40

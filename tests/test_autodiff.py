@@ -160,7 +160,8 @@ class TestGradients:
         check_grad(lambda p: (p[idx] * np.array([1.0, 2.0, 3.0])).sum(), x0)
 
     # (source shape, distinct flat row indices): every row, one row per listing
-    # of a (4, 3) slot grid, and the real slots of a 3-D padded source
+    # of a (4, 3) slot grid, and the real slots of a 3-D padded source; getitem
+    # gathers rows of the two 2-D sources
     ROW_CASES = [
         ((6, 3), np.arange(6)),
         ((12, 2), np.array([2, 3, 7, 9])),
@@ -168,11 +169,11 @@ class TestGradients:
     ]
     ROW_IDS = ["all-rows", "one-per-listing", "3d-source"]
 
-    @pytest.mark.parametrize("shape, rows", ROW_CASES, ids=ROW_IDS)
-    def test_take_rows(self, shape, rows):
+    @pytest.mark.parametrize("shape, rows", ROW_CASES[:2], ids=ROW_IDS[:2])
+    def test_getitem_rows(self, shape, rows):
         rng = np.random.default_rng(11)
         c = rng.normal(size=(len(rows), shape[-1]))
-        check_grad(lambda p: (ad.take_rows(p, rows) * c).sum(), rng.normal(size=shape))
+        check_grad(lambda p: (p[rows] * c).sum(), rng.normal(size=shape))
 
     @pytest.mark.parametrize("shape, rows", ROW_CASES, ids=ROW_IDS)
     def test_put_rows(self, shape, rows):
@@ -187,7 +188,7 @@ class TestGradients:
         expected = np.zeros((6, 2))
         expected[[1, 2, 4]] = x
         np.testing.assert_array_equal(out, expected.reshape(2, 3, 2))
-        np.testing.assert_array_equal(ad.take_rows(ad.constant(out), np.array([1, 2, 4])).value, x)
+        np.testing.assert_array_equal(ad.constant(out).reshape(6, 2)[np.array([1, 2, 4])].value, x)
 
     def test_reshape_transpose_mean(self):
         rng = np.random.default_rng(10)
@@ -338,8 +339,7 @@ class TestFusedOps:
         rng = np.random.default_rng(27)
         B, P, H, dh = HEAD_SHAPE
         x0 = rng.normal(size=(B, H, P, dh))
-        composite = ad.take_rows(ad.transpose(ad.constant(x0), (0, 2, 1, 3)).reshape(B, P, H * dh),
-                                 HEAD_ROWS)
+        composite = ad.transpose(ad.constant(x0), (0, 2, 1, 3)).reshape(B * P, H * dh)[HEAD_ROWS]
         np.testing.assert_array_equal(ad.merge_heads(x0, HEAD_ROWS).value, composite.value)
         mix = rng.normal(size=(len(HEAD_ROWS), H * dh))
         check_grad(lambda p: (ad.merge_heads(p, HEAD_ROWS) * mix).sum(), x0)
@@ -400,12 +400,12 @@ class TestTapeLifecycle:
     def test_no_graph_outside_a_tape(self):
         '''Without a tape an op keeps no closure (so no graph); inside one it does.'''
         p = ad.param(np.ones((2, 2)))
-        for y in (p * p, ad.take_rows(p, np.array([1])), ad.gelu(p) @ p):
+        for y in (p * p, p[np.array([1])], ad.gelu(p) @ p):
             assert not y.requires_grad
             assert y._grad_fn is None
         with ad.Tape() as tape:
             y = p * p
-            loss = (ad.take_rows(y, np.array([0, 1])) @ p).sum()
+            loss = (y[np.array([0, 1])] @ p).sum()
         assert y._grad_fn is not None
         assert set(ad.backward(tape, loss)) == {id(p)}
 

@@ -387,6 +387,22 @@ def _drop_last_row(name):
     return apply
 
 
+def _widen(split, name):
+    """Give a split's sidecar one more column than generator.json says."""
+    def apply(train_dir):
+        path = str(train_dir.parent / split / name)
+        x = codecmod.load_embeddings(path)
+        codecmod.save_embeddings(path, np.hstack([x, np.zeros((len(x), 1))]))
+    return apply
+
+
+def _raise_p_max(train_dir):
+    """Set generator.json's p_max one above the sidecars' photo slots."""
+    path = train_dir / "generator.json"
+    config = json.loads(path.read_text())
+    path.write_text(json.dumps({**config, "p_max": config["p_max"] + 1}))
+
+
 MALFORMED_DATASETS = {
     "not-json": _edit_index_line(lambda m: "{not json"),
     "not-object": _edit_index_line(lambda m: [m]),
@@ -404,6 +420,9 @@ MALFORMED_DATASETS = {
     "text-rows": _drop_last_row("text.emb"),
     "latent-rows": _drop_last_row("latent.emb"),
     "id-beyond-int64": _edit_index_line(lambda m: {**m, "id": 2**63}),
+    "wide-train-text": _widen("train", "text.emb"),
+    "wide-holdout-photos": _widen("holdout", "photos.emb"),
+    "p_max-above-sidecars": _raise_p_max,
 }
 
 

@@ -53,9 +53,9 @@ class TestPq:
         x = np.concatenate(
             [cb.codebooks[j][picks[:, j]] for j in range(cb.m)], axis=1
         )
-        block = codec.pq_encode(cb, x)
+        block = codec.encode(cb, x)
         np.testing.assert_array_equal(block.codes, picks)
-        np.testing.assert_array_equal(codec.pq_decode(cb, block), x)
+        np.testing.assert_array_equal(codec.decode(cb, block), x)
 
     def test_matches_per_slice_kmeans_oracle(self):
         '''Each subspace codebook is exactly k-means on its own slice with seed + j.'''
@@ -72,14 +72,14 @@ class TestPq:
         x = _clustered(2, n=200, d=7)
         cb = codec.pq_train(x, m=2, k=8, iters=10, seed=0)
         assert cb.sub_dim == 4 and cb.padded_dim == 8
-        block = codec.pq_encode(cb, x)
+        block = codec.encode(cb, x)
         assert block.bytes_per_vector == 2
-        assert codec.pq_decode(cb, block).shape == x.shape
+        assert codec.decode(cb, block).shape == x.shape
 
     def test_codes_fit_one_byte(self):
         x = _clustered(3, n=300, d=4)
         cb = codec.pq_train(x, m=2, k=256, iters=5, seed=0)
-        block = codec.pq_encode(cb, x)
+        block = codec.encode(cb, x)
         assert block.codes.dtype == np.uint8
         with pytest.raises(DegenerateInput):
             codec.pq_train(x, m=2, k=257, iters=5, seed=0)
@@ -99,13 +99,13 @@ class TestPq:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, d))
         cb = codec.pq_train(x, m=m, k=min(8, n), iters=3, seed=seed)
-        block = codec.pq_encode(cb, x)
+        block = codec.encode(cb, x)
         assert block.codes.shape == (n, m)
         assert np.all(block.codes < cb.k)
-        recon = codec.pq_decode(cb, block)
+        recon = codec.decode(cb, block)
         assert recon.shape == (n, d)
         # Quantizing a reconstruction is a fixed point.
-        again = codec.pq_encode(cb, recon)
+        again = codec.encode(cb, recon)
         np.testing.assert_array_equal(block.codes, again.codes)
 
 
@@ -135,7 +135,7 @@ class TestPq:
             # block (20 rows here) through another kernel, so compare the
             # whole-batch product up to rounding.
             block = codec.CodeBlock(n=1300, bytes_per_vector=m, codes=full)
-            whole = codec.pq_decode(pq, block) @ trained.rotation.T
+            whole = codec.decode(pq, block) @ trained.rotation.T
             np.testing.assert_allclose(trained.decode(block), whole[:, :58], rtol=0, atol=1e-12)
 
 
@@ -151,7 +151,7 @@ class TestOpq:
         np.testing.assert_array_equal(opq.rotation, np.eye(8))
         np.testing.assert_array_equal(opq.pq.codebooks, pq.codebooks)
         np.testing.assert_array_equal(
-            codec.opq_encode(opq, x).codes, codec.pq_encode(pq, x).codes
+            codec.encode(opq, x).codes, codec.encode(pq, x).codes
         )
 
     @pytest.mark.parametrize("outer_iters", [0, 1, 2, 3])
@@ -162,7 +162,7 @@ class TestOpq:
         opq = codec.opq_train(x, m=m, k=k, outer_iters=outer_iters, seed=seed, kmeans_iters=iters)
 
         def recon(cb, xr):
-            return codec.pq_decode(cb, codec.pq_encode(cb, xr))
+            return codec.decode(cb, codec.encode(cb, xr))
 
         xp = np.zeros((x.shape[0], 16))
         xp[:, :14] = x
@@ -194,7 +194,7 @@ class TestOpq:
     def test_never_worse_than_identity_rotation(self):
         x = rotated_subspace_clusters(6, n=600)
         opq = codec.opq_train(x, m=4, k=16, outer_iters=6, seed=1, kmeans_iters=10)
-        recon = codec.opq_decode(opq, codec.opq_encode(opq, x))
+        recon = codec.decode(opq, codec.encode(opq, x))
         final_err = np.sum((x - recon) ** 2)
         identity_err = opq.objective_history[0]
         assert final_err <= identity_err * (1 + 1e-9)
@@ -203,9 +203,9 @@ class TestOpq:
         x = rotated_subspace_clusters(7)
         pq = codec.pq_train(x, m=4, k=16, iters=20, seed=0)
         opq = codec.opq_train(x, m=4, k=16, outer_iters=12, seed=0, kmeans_iters=20)
-        pq_err = np.median(np.linalg.norm(x - codec.pq_decode(pq, codec.pq_encode(pq, x)), axis=1))
+        pq_err = np.median(np.linalg.norm(x - codec.decode(pq, codec.encode(pq, x)), axis=1))
         opq_err = np.median(
-            np.linalg.norm(x - codec.opq_decode(opq, codec.opq_encode(opq, x)), axis=1)
+            np.linalg.norm(x - codec.decode(opq, codec.encode(opq, x)), axis=1)
         )
         assert opq_err < pq_err
 
@@ -220,7 +220,7 @@ class TestOpq:
         x = rng.normal(size=(300, 10))
         opq = codec.opq_train(x, m=4, k=8, rotated_dim=12, outer_iters=2, seed=0, kmeans_iters=5)
         assert opq.input_dim == 10 and opq.rotated_dim == 12
-        recon = codec.opq_decode(opq, codec.opq_encode(opq, x))
+        recon = codec.decode(opq, codec.encode(opq, x))
         assert recon.shape == x.shape
 
     def test_rejects_bad_rotated_dim(self):
@@ -289,13 +289,13 @@ class TestPcaCodec:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(200, 64))
         pc = codec.pca_codec_train(x, out_dim=40)
-        assert codec.pca_codec_encode(pc, x).bytes_per_vector == 40
+        assert codec.encode(pc, x).bytes_per_vector == 40
 
     def test_low_rank_data_reconstructs_well(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(300, 5)) @ rng.normal(size=(5, 32))
         pc = codec.pca_codec_train(x, out_dim=8)
-        recon = codec.pca_codec_decode(pc, codec.pca_codec_encode(pc, x))
+        recon = codec.decode(pc, codec.encode(pc, x))
         rel = np.linalg.norm(x - recon) / np.linalg.norm(x)
         assert rel < 0.01
 

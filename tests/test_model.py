@@ -350,7 +350,7 @@ class TestForwardBatch:
         #   layer 0: layer_norm, 3 x (linear, split_heads), q @ k^T, scale,
         #     mask add, softmax, @ v, merge_heads, linear, residual add,
         #     layer_norm, linear, gelu, linear, residual add                20
-        #   layer 1: the same plus take_rows of the pooled slots          21
+        #   layer 1: the same plus getitem of the pooled slots            21
         #   output: linear, then l2 normalize (mul, vsum, sqrt, div)        5
         #   text tower: 3 linear, 2 gelu, l2 normalize                      9
         #   logits: transpose, matmul                                       2
