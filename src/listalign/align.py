@@ -246,6 +246,8 @@ class TrainSchedule:
             raise ConfigError("cosine_horizon must be >= 1")
         if self.grad_accum < 1:
             raise ConfigError("grad_accum must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("schedule seed must be >= 0")
         self.adam.validate()
 
 

@@ -132,6 +132,7 @@ def cmd_train(args) -> int:
             init_seed=args.seed,
             schedule=dataclasses.replace(cfg.schedule, seed=args.seed),
         )
+        cfg.validate()  # --seed can be negative: check it before the towers draw from it
     train_recs, holdout_recs, gcfg = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
     # the dataset's own geometry wins over whatever the config file says
     cfg = dataclasses.replace(cfg, generator=gcfg)
@@ -173,6 +174,9 @@ def cmd_quantize(args) -> int:
     if args.seed is not None:
         settings = dataclasses.replace(settings, seed=args.seed)
     x = _read_input(codecmod.load_embeddings, args.emb, "embeddings")
+    if settings.kind == "pca" and settings.out_dim > x.shape[1]:
+        _say(args, f"codec out_dim clamped to {x.shape[1]}, the width of {args.emb}")
+        settings = dataclasses.replace(settings, out_dim=x.shape[1])
     trained = codecmod.train_codec(settings, x)
     block = codecmod.encode(trained, x)
     x_hat = codecmod.decode(trained, block)

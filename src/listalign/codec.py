@@ -517,6 +517,8 @@ class CodecSettings:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"codec.kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError("codec.seed must be >= 0")
 
 
 def train_codec(settings: CodecSettings, x) -> Codec:

@@ -111,6 +111,8 @@ class PipelineConfig:
             raise ConfigError("split.holdout_fraction must lie in (0, 1)")
         if self.filters.min_photos < 0 or self.filters.min_text_len < 0:
             raise ConfigError("filter thresholds must be >= 0")
+        if self.split.seed < 0 or self.init_seed < 0:
+            raise ConfigError("split.seed and init_seed must be >= 0")
         self.codec.validate()
 
 

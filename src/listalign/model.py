@@ -20,7 +20,8 @@ bit-identical.
 
 Checkpoint format: magic "BLMODEL1", u32 header length, canonical-JSON header
 (architecture, freeze flags, parameter manifest), float32 payload in manifest
-order, little-endian.
+order, little-endian. load_checkpoint rebuilds the header from the towers and
+extras a file describes and requires the bytes save_checkpoint writes for them.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class SetEncoderParams:
 
 @dataclass(frozen=True)
 class TextTowerConfig:
-    dims: tuple  # (d_text, hidden..., d_out)
+    dims: tuple[int, ...]  # (d_text, hidden..., d_out)
 
     @property
     def n_layers(self) -> int:
@@ -394,82 +395,55 @@ def backward(tape: Tape, loss: Var, *param_groups) -> dict[str, np.ndarray]:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _manifest(params: SetEncoderParams | TextTowerParams) -> list:
-    return [[name, list(var.value.shape)] for name, var in params.named()]
+def _header(ps: SetEncoderParams, te: TextTowerParams, extra: dict) -> bytes:
+    """The canonical JSON header save_checkpoint writes and load_checkpoint
+    requires: tower configs, text freeze flags, and a manifest of every tower
+    tensor in layout order, then each extra (name -> shape)."""
+    layout = _set_encoder_layout(ps.config) + _text_layout(te.config)
+    clash = [name for name in extra if type(name) is not str or name in ps.tensors or name in te.tensors]
+    if clash:
+        raise ConfigError(f"checkpoint extras {clash} must be strings that name no tensor")
+    header = {
+        "set_encoder": asdict(ps.config),
+        "text_tower": {"dims": list(te.config.dims), "frozen": te.frozen},
+        "manifest": [[name, list(shape)] for name, shape, _ in layout]
+        + [[name, [int(n) for n in shape]] for name, shape in extra.items()],
+    }
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def save_checkpoint(path: str, ps: SetEncoderParams, te: TextTowerParams, extra=None) -> None:
     """Write both towers (and any extra named scalars) as one BLMODEL1 file."""
     extra = extra or {}
-    header = {
-        "set_encoder": asdict(ps.config),
-        "text_tower": {"dims": list(te.config.dims), "frozen": list(te.frozen)},
-        "manifest": _manifest(ps) + _manifest(te) + [[k, list(np.shape(v))] for k, v in extra.items()],
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = _header(ps, te, {name: np.shape(v) for name, v in extra.items()})
     payload = [pack_f32(var.value) for _, var in ps.named() + te.named()]
     payload += [pack_f32(v) for v in extra.values()]
     atomic_write_bytes(path, CKPT_MAGIC + pack_u32(len(blob)) + blob + b"".join(payload))
 
 
-def _int_list(value, what: str) -> list:
-    if not (isinstance(value, list) and all(type(v) is int and v >= 0 for v in value)):
-        raise ConfigError(f"{what} must be a list of non-negative integers")
-    return value
-
-
-def _read_header(r: Reader):
-    """Parse the JSON header into zero-filled towers, freeze flags and manifest.
-
-    Anything that is not the header save_checkpoint writes is CorruptFile.
-    """
-    try:
-        header = json.loads(r.raw(r.u32()).decode("utf-8"))
-        se = parse_dataclass(SetEncoderConfig, header["set_encoder"], "set_encoder")
-        ps = SetEncoderParams(config=se, tensors=_tensors(_set_encoder_layout(se), None))
-        text = header["text_tower"]
-        tc = TextTowerConfig(dims=tuple(_int_list(text["dims"], "text_tower.dims")))
-        te = TextTowerParams(config=tc, tensors=_tensors(_text_layout(tc), None))
-        frozen = text["frozen"]
-        if not (
-            isinstance(frozen, list)
-            and len(frozen) == te.config.n_layers
-            and all(type(f) is bool for f in frozen)
-        ):
-            raise ConfigError("text_tower.frozen must be one boolean per text layer")
-        manifest = []
-        for name, shape in header["manifest"]:
-            if type(name) is not str:
-                raise ConfigError("manifest names must be strings")
-            manifest.append((name, tuple(_int_list(shape, f"shape of {name}"))))
-    except (ValueError, KeyError, TypeError, RecursionError, ConfigError) as exc:
-        raise CorruptFile(f"{r.path}: malformed checkpoint header: {exc}") from None
-    return ps, te, frozen, manifest
-
-
 def load_checkpoint(path: str):
-    """Read a checkpoint: (set encoder params, text tower params, extra dict)."""
+    """Read a checkpoint: (set encoder params, text tower params, extra dict).
+
+    The header must be the bytes _header builds for the towers and extras it
+    describes; anything else is CorruptFile.
+    """
     r = Reader(path, CKPT_MAGIC)
-    ps, te, frozen, manifest = _read_header(r)
-    known = dict(ps.named() + te.named())
-    names = [name for name, _ in manifest]
-    if len(set(names)) != len(names):
-        raise CorruptFile(f"{path}: repeated tensor name in the manifest")
-    missing = sorted(set(known) - set(names))
-    if missing:
-        raise CorruptFile(f"{path}: manifest lacks tensors {missing}")
-    extra = {}
-    for name, shape in manifest:
-        if name in known and shape != known[name].value.shape:
-            raise CorruptFile(
-                f"{path}: {name} has shape {list(shape)}, the architecture needs "
-                f"{list(known[name].value.shape)}"
-            )
-        arr = r.f32(shape)
-        if name in known:
-            known[name].value = arr
-        else:
-            extra[name] = arr
+    blob = r.raw(r.u32())
+    try:
+        header = json.loads(blob)
+        se = parse_dataclass(SetEncoderConfig, header["set_encoder"], "set_encoder")
+        tc = parse_dataclass(TextTowerConfig, {"dims": header["text_tower"]["dims"]}, "text_tower")
+        ps = SetEncoderParams(config=se, tensors=_tensors(_set_encoder_layout(se), None))
+        te = TextTowerParams(config=tc, tensors=_tensors(_text_layout(tc), None))
+        # te.frozen holds JSON booleans, so a flag of any other type fails the comparison
+        set_text_freeze(te, [i for i, f in enumerate(header["text_tower"]["frozen"]) if not f])
+        extra = dict(header["manifest"][len(ps.tensors) + len(te.tensors):])
+        if _header(ps, te, extra) != blob:
+            raise ConfigError("not the header save_checkpoint writes for these towers")
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError, ConfigError) as exc:
+        raise CorruptFile(f"{path}: malformed checkpoint header: {exc}") from None
+    for _, var in ps.named() + te.named():
+        var.value = r.f32(var.value.shape)
+    extra = {name: r.f32(shape) for name, shape in extra.items()}
     r.end()
-    set_text_freeze(te, [i for i, f in enumerate(frozen) if not f])
     return ps, te, extra

@@ -79,6 +79,8 @@ class GeneratorConfig:
             raise ConfigError("generator: noise levels must be >= 0")
         if self.aspect_count < 1:
             raise ConfigError("generator: aspect_count must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("generator: seed must be >= 0")
 
 
 @dataclass

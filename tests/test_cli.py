@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests: artifacts, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -316,6 +317,31 @@ def test_quantize_unknown_codec_kind_exits_2(workspace, tmp_path, capsys):
         "--out", str(out), "--quiet",
     ]) == 2
     assert "pq, opq, scalar, pca" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["gen", "train", "quantize"])
+@pytest.mark.parametrize("override", [
+    None,
+    {"generator": {"seed": -1}},
+    {"split": {"seed": -1}},
+    {"init_seed": -1},
+    {"schedule": {"seed": -1}},
+    {"codec": {"seed": -1}},
+], ids=["flag", "generator", "split", "init", "schedule", "codec"])
+def test_negative_seed_exits_2(workspace, tmp_path, capsys, stage, override):
+    cfg_path = tmp_path / "seed.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, **(override or {})}))
+    seed = ["--seed", "-1"] if override is None else []
+    inputs = {
+        "gen": [],
+        "train": ["--data", str(workspace["data"])],
+        "quantize": ["--emb", str(workspace["data"] / "train" / "text.emb")],
+    }[stage]
+    out = tmp_path / "out"
+    assert main([stage, "--config", str(cfg_path), *seed, *inputs, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -650,15 +676,21 @@ def test_report_on_any_json_exits_0_or_5(tmp_path_factory, value):
     assert main(["report", str(path)]) in (0, 5)
 
 
-def test_module_entry_point_help(tmp_path):
-    # The child runs from a neutral directory and imports the same package this
-    # process imported, whatever the checkout path or install state.
+def _child_env(**extra):
+    """os.environ plus extra, with PYTHONPATH led by the package root this
+    process imported, so a child imports the same package whatever the
+    checkout path or install state."""
     package_root = str(Path(listalign.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_help(tmp_path):
+    # the child runs from a neutral directory
     proc = subprocess.run(
         [sys.executable, "-m", "listalign", "--help"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
     )
     assert proc.returncode == 0
     for name in ("gen", "train", "quantize", "eval", "search", "report"):
@@ -708,9 +740,62 @@ def test_module_entry_point_search_prints_the_in_process_bytes(workspace, tmp_pa
     assert gallery.cached(ckpt, data) is not None
     first_id = json.loads((workspace["data"] / "holdout" / "dataset.jsonl").read_text().splitlines()[0])["id"]
     argv = ["search", "--data", data, "--model", ckpt, "--query-id", str(first_id), "--modality", "photo"]
-    package_root = str(Path(listalign.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "listalign", *argv],
-                          capture_output=True, cwd=tmp_path, env=env)
+                          capture_output=True, cwd=tmp_path, env=_child_env())
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == _captured(argv)
+
+
+# ---------------------------------------------------------------------------
+# whole pipeline
+# ---------------------------------------------------------------------------
+
+def test_all_defaults_pipeline_exits_0(tmp_path, capsys):
+    """Every stage, on an empty config and default flags, chained on the
+    previous stages' outputs."""
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("{}")
+    data, run, report = tmp_path / "data", tmp_path / "run", tmp_path / "report.json"
+    assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]) == 0
+    emb = str(data / "train" / "text.emb")
+    for kind in codecmod.KINDS:
+        assert main(["quantize", "--config", str(cfg), "--kind", kind, "--emb", emb,
+                     "--out", str(tmp_path / kind)]) == 0, kind
+    model_path = str(run / "checkpoint.blm")
+    assert main(["eval", "--data", str(data), "--model", model_path, "--out", str(report)]) == 0
+    first_id = json.loads((data / "train" / "dataset.jsonl").read_text().splitlines()[0])["id"]
+    assert main(["search", "--data", str(data), "--model", model_path, "--query-id", str(first_id)]) == 0
+    assert main(["report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "codec out_dim clamped to 16" in out  # the default 40 is wider than gen's 16 columns
+
+
+BLAS_CONFIG = {
+    "generator": {"n_listings": 200},
+    "schedule": {"stages": [
+        {"epochs": 3, "lr": 3e-3},
+        {"epochs": 2, "lr": 6e-4, "unfreeze_text_layers": [1, 2]},
+    ]},
+}
+
+
+def test_gen_and_train_bytes_independent_of_blas_thread_count(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(BLAS_CONFIG))
+    digests = []
+    for threads in (1, 2):
+        root = tmp_path / f"threads{threads}"
+        for argv in (
+            ["gen", "--config", str(cfg), "--out", str(root / "data")],
+            ["train", "--config", str(cfg), "--data", str(root / "data"), "--out", str(root / "run")],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "listalign", *argv, "--quiet"], capture_output=True, text=True,
+                cwd=tmp_path, env=_child_env(OPENBLAS_NUM_THREADS=str(threads)),
+            )
+            assert proc.returncode == 0, proc.stderr
+        digests.append({
+            name: hashlib.sha256((root / "run" / name).read_bytes()).hexdigest()
+            for name in ("checkpoint.blm", "gallery.blg", "trainlog.jsonl", "epochs.csv")
+        })
+    assert digests[0] == digests[1]

@@ -101,6 +101,18 @@ def test_semantic_validation_still_applies():
         configmod.parse_pipeline_config({"set_encoder": {"d_model": 30, "n_heads": 4}})
 
 
+@pytest.mark.parametrize("raw, where", [
+    ({"generator": {"seed": -1}}, "generator: seed"),
+    ({"split": {"seed": -1}}, "split.seed"),
+    ({"init_seed": -1}, "init_seed"),
+    ({"schedule": {"seed": -1}}, "schedule seed"),
+    ({"codec": {"seed": -1}}, "codec.seed"),
+])
+def test_negative_seeds_rejected(raw, where):
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        configmod.parse_pipeline_config(raw)
+
+
 def test_nullable_fields_accept_null():
     pc = configmod.parse_pipeline_config(
         {"schedule": {"cosine_horizon": None}, "codec": {"rotated_dim": None}}
@@ -153,7 +165,7 @@ def _positive():
     return st.one_of(_finite(1e-6, 1e3), st.integers(1, 100))
 
 
-_INT = st.integers(-(2**40), 2**40)
+_SEED = st.integers(0, 2**40)
 _INT_LIST = st.lists(st.integers(0, 8), max_size=4)
 
 # every field of every section, each drawn only from values validate() accepts:
@@ -169,7 +181,7 @@ _SECTIONS = {
         "photo_noise": st.one_of(_finite(0.0, 10.0), st.integers(0, 3)),
         "text_noise": _finite(0.0, 10.0),
         "aspect_count": st.integers(1, 16),
-        "seed": _INT,
+        "seed": _SEED,
     },
     "filters": {
         "min_photos": st.integers(0, 64),
@@ -179,7 +191,7 @@ _SECTIONS = {
     },
     "split": {
         "holdout_fraction": _finite(0.0, 1.0, exclude_min=True, exclude_max=True),
-        "seed": _INT,
+        "seed": _SEED,
     },
     "set_encoder": {
         "d_model": st.sampled_from([8, 16, 32, 64]),
@@ -208,7 +220,7 @@ _SECTIONS = {
             max_size=3,
         ),
         "batch_size": st.integers(2, 512),
-        "seed": _INT,
+        "seed": _SEED,
         "warmup_steps": st.integers(0, 1000),
         "cosine_horizon": st.one_of(st.none(), st.integers(1, 10**6)),
         "adam": st.fixed_dictionaries(
@@ -231,7 +243,7 @@ _SECTIONS = {
         "outer_iters": st.integers(0, 20),
         "kmeans_iters": st.integers(0, 50),
         "iters": st.integers(0, 50),
-        "seed": _INT,
+        "seed": _SEED,
         "out_dim": st.integers(1, 256),
     },
 }
@@ -240,7 +252,7 @@ _OVERRIDES = st.fixed_dictionaries(
     {},
     optional={
         **{name: st.fixed_dictionaries({}, optional=fields) for name, fields in _SECTIONS.items()},
-        "init_seed": _INT,
+        "init_seed": _SEED,
     },
 )
 

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -468,10 +469,15 @@ class TestCheckpoint:
         lambda h: {**h, "manifest": h["manifest"] + h["manifest"][:1]},
         lambda h: {**h, "manifest": [[n, s[::-1]] for n, s in h["manifest"]]},
         lambda h: [h],
+        lambda h: h,  # the harness re-dumps it with json's default separators
+        lambda h: json.dumps(
+            {**h, "manifest": [h["manifest"][1], h["manifest"][0], *h["manifest"][2:]]},
+            sort_keys=True, separators=(",", ":"),
+        ),
     ], ids=[
         "not-json", "no-manifest", "str-size", "bad-heads", "bad-pool", "str-dim",
         "int-frozen", "float-shape", "missing-tensor", "repeated-tensor",
-        "wrong-shape", "not-object",
+        "wrong-shape", "not-object", "default-separators", "swapped-entries",
     ])
     def test_malformed_header_is_corrupt(self, tmp_path, edit):
         _, ps, te = tiny_setup()
@@ -484,3 +490,11 @@ class TestCheckpoint:
         path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[header_end:])
         with pytest.raises(CorruptFile):
             model.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("name", ["w_in", "text0.b"])
+    def test_extra_named_like_a_tensor_is_not_saved(self, tmp_path, name):
+        _, ps, te = tiny_setup()
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ConfigError, match=re.escape(f"extras ['{name}']")):
+            model.save_checkpoint(str(path), ps, te, extra={"temp": 1.0, name: 1.0})
+        assert not path.exists()
