@@ -1,4 +1,10 @@
-"""Small binary-file helpers shared by the persistence code.
+"""Small file helpers shared by the persistence code.
+
+Every text artifact is written through one of three writers here: write_json
+(sorted keys, two-space indent, a trailing newline; json_text is the same text
+without the newline), write_jsonl (one sorted-key object per line) and
+write_csv (a header of the first row's keys, then floats as repr and anything
+else as str). The binary containers use the pack and Reader helpers.
 
 All multi-byte fields are little-endian. Writes are atomic: the payload goes to a
 temporary file in the destination directory which is then renamed over the target,
@@ -13,6 +19,7 @@ widened into new float64 arrays in one pass.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -41,6 +48,31 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def json_text(obj) -> str:
+    """obj as JSON with sorted keys and a two-space indent."""
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def write_json(path: str, obj) -> None:
+    atomic_write_text(path, json_text(obj) + "\n")
+
+
+def write_jsonl(path: str, objects) -> None:
+    """One sorted-key JSON object per line; no objects gives an empty file."""
+    atomic_write_text(path, "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objects))
+
+
+def write_csv(path: str, rows: list) -> None:
+    """A header of the first row's keys, then one line per row dict with floats
+    as repr and anything else as str; no rows gives an empty file."""
+    text = ""
+    if rows:
+        cols = list(rows[0])
+        lines = [cols] + [[repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols] for row in rows]
+        text = "".join(",".join(cells) + "\n" for cells in lines)
+    atomic_write_text(path, text)
 
 
 def pack_u8(value: int) -> bytes:

@@ -16,7 +16,6 @@ Everything is deterministic for a fixed schedule seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import eval as evalmod
 from . import model as modelmod
-from ._fileio import atomic_write_text
+from ._fileio import write_csv, write_jsonl
 from .autodiff import Var
 from .errors import ConfigError, DegenerateInput, ShapeMismatch
 from .synth import pack_photos, pack_texts
@@ -261,19 +260,11 @@ class TrainLog:
     epochs: list = field(default_factory=list)
 
     def save_jsonl(self, path: str) -> None:
-        lines = [json.dumps({"kind": "step", **s}, sort_keys=True) for s in self.steps]
-        lines += [json.dumps({"kind": "epoch", **e}, sort_keys=True) for e in self.epochs]
-        atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
+        write_jsonl(path, [{"kind": "step", **s} for s in self.steps]
+                    + [{"kind": "epoch", **e} for e in self.epochs])
 
     def save_epoch_csv(self, path: str) -> None:
-        if not self.epochs:
-            atomic_write_text(path, "")
-            return
-        cols = list(self.epochs[0].keys())
-        rows = [",".join(cols)]
-        for e in self.epochs:
-            rows.append(",".join(repr(e[c]) if isinstance(e[c], float) else str(e[c]) for c in cols))
-        atomic_write_text(path, "\n".join(rows) + "\n")
+        write_csv(path, self.epochs)
 
 
 @dataclass

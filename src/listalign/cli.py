@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import align, codec as codecmod, eval as evalmod, gallery as gallerymod, model as modelmod, synth
-from ._fileio import atomic_write_text
+from ._fileio import write_csv, write_json
 from .config import PipelineConfig, load_pipeline_config, resolved_dict
 from .errors import ConfigError, CorruptFile, ListalignError, UnknownId
 
@@ -76,6 +76,8 @@ def _parse_int_list(text: str, flag: str):
         raise ConfigError(f"{flag} expects a comma-separated integer list, got {text!r}")
     if not values:
         raise ConfigError(f"{flag} expects at least one integer")
+    if min(values) < 1:
+        raise ConfigError(f"{flag} values must be at least 1, got {min(values)}")
     return values
 
 
@@ -104,14 +106,8 @@ def cmd_gen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     synth.save_dataset(os.path.join(args.out, "train"), train_recs, cfg.generator)
     synth.save_dataset(os.path.join(args.out, "holdout"), holdout_recs, cfg.generator)
-    atomic_write_text(
-        os.path.join(args.out, "filter_stats.json"),
-        json.dumps(stats.as_dict(), sort_keys=True, indent=2) + "\n",
-    )
-    atomic_write_text(
-        os.path.join(args.out, "config.json"),
-        json.dumps(resolved_dict(cfg), sort_keys=True, indent=2) + "\n",
-    )
+    write_json(os.path.join(args.out, "filter_stats.json"), stats.as_dict())
+    write_json(os.path.join(args.out, "config.json"), resolved_dict(cfg))
     _say(
         args,
         f"generated {stats.n_input} listings, kept {stats.n_output} "
@@ -185,10 +181,7 @@ def cmd_quantize(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     codecmod.save_codec(os.path.join(args.out, "codec.blc"), trained)
     codecmod.save_embeddings(os.path.join(args.out, "codes.emb"), block.codes)
-    atomic_write_text(
-        os.path.join(args.out, "percentiles.json"),
-        json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n",
-    )
+    write_json(os.path.join(args.out, "percentiles.json"), report.as_dict())
     _say(args, f"{settings.kind}: {block.bytes_per_vector} bytes/vector over {block.n} vectors")
     for level, value in zip(report.levels, report.values):
         _say(args, f"  p{int(round(level * 100)):02d} error {value:.6f}")
@@ -210,6 +203,10 @@ def _mean_ndcg(tx_emb, ps_emb, ids, query_rows, depth: int) -> float:
 
 
 def cmd_eval(args) -> int:
+    ks = _parse_int_list(args.ks, "--ks") if args.ks else (1, 5, 10)
+    dims = _parse_int_list(args.sweep, "--sweep") if args.sweep else ()
+    if args.sweep_csv and not dims:
+        raise ConfigError("--sweep-csv needs --sweep")
     # the probes need the records' attributes, so the dataset loads either way
     train_recs, holdout_recs, gcfg = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
     g = gallerymod.cached(args.model, args.data)
@@ -217,9 +214,12 @@ def cmd_eval(args) -> int:
         ps, te, _extra = _read_input(modelmod.load_checkpoint, args.model, "checkpoint")
         g = _embed_if_fits(args, ps, te, gcfg, train_recs + holdout_recs)
     ps_emb, tx_emb = g.photo, g.text
+    width = tx_emb.shape[1]
+    if dims and max(dims) > width:
+        raise ConfigError(f"--sweep dims must be at most {width}, the gallery's embedding width, got {max(dims)}")
     n = len(g.ids)
     query_rows = np.arange(len(train_recs), n)
-    ks = _clamp_ks(_parse_int_list(args.ks, "--ks") if args.ks else (1, 5, 10), n)
+    ks = _clamp_ks(ks, n)
     metrics = evalmod.retrieval_metrics(tx_emb, ps_emb, ks=ks, query_indices=query_rows)
     depth = min(10, n)
     retrieval = dict(metrics.as_dict())
@@ -235,25 +235,19 @@ def cmd_eval(args) -> int:
         probe[attr] = evalmod.knn_probe(train_ps, tr_labels, hold_ps, ho_labels, k=k_probe)
 
     sweep = []
-    if args.sweep:
-        dims = _parse_int_list(args.sweep, "--sweep")
+    if dims:
         sweep = evalmod.pca_dim_sweep(
             tx_emb, ps_emb, dims=dims, ks=ks,
             query_indices=query_rows, quantize=args.quantize_sweep,
         )
 
-    report = evalmod.EvalReport(retrieval=retrieval, probe=probe, sweep=sweep)
-    atomic_write_text(args.out, report.to_json() + "\n")
-    if args.sweep_csv and sweep:
-        cols = ["dim", "quantized", "mean_rank_t2i", "mean_rank_i2t"]
-        cols += [f"recall_t2i@{k}" for k in ks]
-        lines = [",".join(cols)]
-        for row in sweep:
-            cells = [str(row["dim"]), str(row["quantized"]),
-                     repr(row["mean_rank_t2i"]), repr(row["mean_rank_i2t"])]
-            cells += [repr(row["recall_t2i"][str(k)]) for k in ks]
-            lines.append(",".join(cells))
-        atomic_write_text(args.sweep_csv, "\n".join(lines) + "\n")
+    write_json(args.out, dataclasses.asdict(evalmod.EvalReport(retrieval=retrieval, probe=probe, sweep=sweep)))
+    if args.sweep_csv:
+        write_csv(args.sweep_csv, [
+            {**{key: row[key] for key in ("dim", "quantized", "mean_rank_t2i", "mean_rank_i2t")},
+             **{f"recall_t2i@{k}": row["recall_t2i"][str(k)] for k in ks}}
+            for row in sweep
+        ])
     _say(args, f"mean rank t2i {metrics.mean_rank_t2i:.3f}, recall@{ks[0]} "
                f"{metrics.recall_t2i[ks[0]]:.4f} over {metrics.n_queries} holdout queries")
     _say(args, f"report -> {args.out}")

@@ -38,7 +38,7 @@ loading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -549,12 +549,7 @@ class CompressionReport:
     mean_relative_error: float
 
     def as_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "values": [float(v) for v in self.values],
-            "mean_error": self.mean_error,
-            "mean_relative_error": self.mean_relative_error,
-        }
+        return {**asdict(self), "levels": list(self.levels), "values": [float(v) for v in self.values]}
 
 
 def compression_report(x, x_hat, levels=DEFAULT_LEVELS) -> CompressionReport:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import codec as codecmod
+from ._fileio import json_text
 from .errors import CorruptFile, DegenerateInput, ShapeMismatch
 from .linalg import pca_fit
 
@@ -59,15 +60,11 @@ class RetrievalMetrics:
     n_gallery: int
 
     def as_dict(self) -> dict:
+        """The fields, with the recall cutoffs as string keys as in JSON."""
         return {
+            **asdict(self),
             "recall_t2i": {str(k): v for k, v in self.recall_t2i.items()},
             "recall_i2t": {str(k): v for k, v in self.recall_i2t.items()},
-            "mean_rank_t2i": self.mean_rank_t2i,
-            "mean_rank_i2t": self.mean_rank_i2t,
-            "median_rank_t2i": self.median_rank_t2i,
-            "median_rank_i2t": self.median_rank_i2t,
-            "n_queries": self.n_queries,
-            "n_gallery": self.n_gallery,
         }
 
 
@@ -215,13 +212,7 @@ class EvalReport:
     compression: dict | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "retrieval": self.retrieval,
-            "probe": self.probe,
-            "sweep": self.sweep,
-            "compression": self.compression,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json_text(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":

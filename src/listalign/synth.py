@@ -10,6 +10,7 @@ a deterministic function of the config, including its seed.
 Datasets persist as a JSONL index plus binary embedding sidecars; floats are
 stored as float32. A directory ``gen`` writes holds a ``train`` and a
 ``holdout`` dataset; SPLIT_FILES lists every file ``load_split`` reads from it.
+Both splits carry a ``generator.json``, but only ``train/generator.json`` is read.
 Listing ids are int64: an index line whose id is outside that range is corrupt.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fileio import atomic_write_text
+from ._fileio import write_json, write_jsonl
 from ._schema import load_json, parse_dataclass
 from .codec import load_embeddings, save_embeddings
 from .errors import ConfigError, CorruptFile, DegenerateInput
@@ -200,14 +201,7 @@ class FilterStats:
         return (self.n_input - self.n_output) / self.n_input if self.n_input else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "n_input": self.n_input,
-            "n_output": self.n_output,
-            "dropped_photos": self.dropped_photos,
-            "dropped_text": self.dropped_text,
-            "dropped_alignment": self.dropped_alignment,
-            "drop_fraction": self.drop_fraction,
-        }
+        return {**dataclasses.asdict(self), "n_output": self.n_output, "drop_fraction": self.drop_fraction}
 
 
 def apply_filters(
@@ -293,61 +287,54 @@ SPLIT_FILES = tuple(
 ) + (f"train/{CONFIG_FILE}",)
 
 
+def _index_row(row: int, p_max: int, id, photo_count, text_length_proxy, attributes) -> dict:
+    """The dataset.jsonl object of the listing in the given row."""
+    return {
+        "id": id,
+        "row": row,
+        "photo_row_offset": row * p_max,
+        "photo_count": photo_count,
+        "text_length_proxy": text_length_proxy,
+        "attributes": attributes,
+    }
+
+
 def save_dataset(directory: str, records, config: GeneratorConfig | None = None) -> None:
     """Write the JSONL index plus float32 embedding sidecars."""
     if not records:
         raise DegenerateInput("save_dataset: no records")
-    os.makedirs(directory, exist_ok=True)
     p_max = records[0].photos.shape[0]
-    d_photo = records[0].photos.shape[1]
-    lines = []
-    for row, rec in enumerate(records):
-        if rec.photos.shape != (p_max, d_photo):
-            raise DegenerateInput("save_dataset: records disagree on photo buffer shape")
-        lines.append(
-            json.dumps(
-                {
-                    "id": rec.id,
-                    "row": row,
-                    "photo_row_offset": row * p_max,
-                    "photo_count": rec.photo_count,
-                    "text_length_proxy": rec.text_length_proxy,
-                    "attributes": rec.attributes,
-                },
-                sort_keys=True,
-            )
-        )
-    atomic_write_text(os.path.join(directory, INDEX_FILE), "\n".join(lines) + "\n")
+    if any(rec.photos.shape != records[0].photos.shape for rec in records):
+        raise DegenerateInput("save_dataset: records disagree on photo buffer shape")
+    os.makedirs(directory, exist_ok=True)
+    write_jsonl(os.path.join(directory, INDEX_FILE), [
+        _index_row(row, p_max, rec.id, rec.photo_count, rec.text_length_proxy, rec.attributes)
+        for row, rec in enumerate(records)
+    ])
     photos = np.concatenate([r.photos for r in records], axis=0)
     save_embeddings(os.path.join(directory, PHOTOS_FILE), photos)
     save_embeddings(os.path.join(directory, TEXT_FILE), np.stack([r.text_features for r in records]))
     save_embeddings(os.path.join(directory, LATENT_FILE), np.stack([r.latent for r in records]))
     if config is not None:
-        atomic_write_text(
-            os.path.join(directory, CONFIG_FILE),
-            json.dumps(dataclasses.asdict(config), sort_keys=True, indent=2) + "\n",
-        )
-
-
-_INDEX_KEYS = ("attributes", "id", "photo_count", "photo_row_offset", "row", "text_length_proxy")
+        write_json(os.path.join(directory, CONFIG_FILE), dataclasses.asdict(config))
 
 
 def _index_entry(line: str, row: int, p_max: int, where: str) -> dict:
-    """One JSONL line, checked to be exactly what save_dataset writes for row."""
+    """One JSONL line, checked to be the object save_dataset writes for row:
+    the same dict as _index_row rebuilds from its own values, all of them ints."""
     try:
         meta = json.loads(line)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CorruptFile(f"{where}: not JSON: {exc}") from None
-    if not isinstance(meta, dict) or sorted(meta) != list(_INDEX_KEYS):
-        raise CorruptFile(f"{where}: expected an object with keys {', '.join(_INDEX_KEYS)}")
-    attrs = meta["attributes"]
-    if not isinstance(attrs, dict) or sorted(attrs) != sorted(ATTRIBUTE_NAMES):
-        raise CorruptFile(f"{where}: attributes must be {', '.join(ATTRIBUTE_NAMES)}")
-    if not all(type(v) is int for v in [*attrs.values(), *(meta[k] for k in _INDEX_KEYS[1:])]):
-        raise CorruptFile(f"{where}: fields and attributes must be integers")
-    for key, expected in (("row", row), ("photo_row_offset", row * p_max)):
-        if meta[key] != expected:
-            raise CorruptFile(f"{where}: {key} {meta[key]}, expected {expected}")
+    attrs = meta.get("attributes") if isinstance(meta, dict) else None
+    if not isinstance(attrs, dict):
+        raise CorruptFile(f"{where}: not an index object with an attributes object")
+    expected = _index_row(row, p_max, meta.get("id"), meta.get("photo_count"), meta.get("text_length_proxy"),
+                          {name: attrs.get(name) for name in ATTRIBUTE_NAMES})
+    # == takes 1.0 and true for 1, so every value must also be an int
+    values = [*attrs.values(), *(v for v in meta.values() if v is not attrs)]
+    if meta != expected or not all(type(v) is int for v in values):
+        raise CorruptFile(f"{where}: not the index line save_dataset writes for row {row}")
     if not -(2**63) <= meta["id"] < 2**63:
         raise CorruptFile(f"{where}: id {meta['id']} outside int64")
     if not 1 <= meta["photo_count"] <= p_max:

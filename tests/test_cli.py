@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import listalign
 from listalign import cli, codec as codecmod, config as configmod, gallery, model, synth
+from listalign._fileio import json_text
 from listalign.cli import main
 from listalign.errors import ConfigError
 
@@ -446,6 +447,8 @@ MALFORMED_DATASETS = {
     "text-rows": _drop_last_row("text.emb"),
     "latent-rows": _drop_last_row("latent.emb"),
     "id-beyond-int64": _edit_index_line(lambda m: {**m, "id": 2**63}),
+    "float-row": _edit_index_line(lambda m: {**m, "row": 1.0}),  # == 1, the row of the edited line
+    "bool-count": _edit_index_line(lambda m: {**m, "photo_count": True}),  # == 1, a count in range
     "wide-train-text": _widen("train", "text.emb"),
     "wide-holdout-photos": _widen("holdout", "photos.emb"),
     "p_max-above-sidecars": _raise_p_max,
@@ -540,6 +543,32 @@ def test_search_top_below_one_exits_2(workspace, capsys, top):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--top" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--ks", "0"], "--ks values must be at least 1, got 0"),
+    (["--ks", "1,-3"], "--ks values must be at least 1, got -3"),
+    (["--ks", "1,x"], "--ks expects a comma-separated integer list"),
+    (["--sweep", "0"], "--sweep values must be at least 1, got 0"),
+    (["--sweep", "2,1000"], "--sweep dims must be at most 8, the gallery's embedding width, got 1000"),
+    (["--sweep-csv", "CSV"], "--sweep-csv needs --sweep"),
+], ids=["ks-zero", "ks-negative", "ks-not-int", "sweep-zero", "sweep-too-wide", "csv-without-sweep"])
+def test_eval_argument_error_exits_2(workspace, tmp_path, capsys, flags, message):
+    report, csv = tmp_path / "r.json", tmp_path / "s.csv"
+    argv = ["eval", "--data", str(workspace["data"]), "--model", str(workspace["run"] / "checkpoint.blm"),
+            "--out", str(report), *[str(csv) if f == "CSV" else f for f in flags], "--quiet"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {message}")
+    assert not report.exists() and not csv.exists()
+
+
+def test_eval_ks_above_gallery_size_are_clamped(workspace, tmp_path):
+    report = tmp_path / "r.json"
+    assert main(["eval", "--data", str(workspace["data"]), "--model", str(workspace["run"] / "checkpoint.blm"),
+                 "--out", str(report), "--ks", "1,100000", "--quiet"]) == 0
+    assert list(json.loads(report.read_text())["retrieval"]["recall_t2i"]) == ["1"]
 
 
 @pytest.mark.parametrize("stage, extra", [("search", ["--query-id", "0"]), ("eval", ["--out", "OUT"])])
@@ -768,6 +797,18 @@ def test_all_defaults_pipeline_exits_0(tmp_path, capsys):
     assert main(["report", str(report)]) == 0
     out = capsys.readouterr().out
     assert "codec out_dim clamped to 16" in out  # the default 40 is wider than gen's 16 columns
+    # every text artifact is in its one format: indented sorted-key JSON, compact sorted-key JSONL
+    json_files = [path for path in tmp_path.rglob("*.json") if path != cfg]
+    jsonl_files = list(tmp_path.rglob("*.jsonl"))
+    assert {path.name for path in json_files} == {
+        "filter_stats.json", "config.json", "generator.json", "percentiles.json", "report.json"}
+    assert {path.name for path in jsonl_files} == {"dataset.jsonl", "trainlog.jsonl"}
+    for path in json_files:
+        text = path.read_text()
+        assert text == json_text(json.loads(text)) + "\n", path
+    for path in jsonl_files:
+        for line in path.read_text().splitlines():
+            assert line == json.dumps(json.loads(line), sort_keys=True), path
 
 
 BLAS_CONFIG = {

@@ -469,27 +469,37 @@ class TestCheckpoint:
         lambda h: {**h, "manifest": h["manifest"] + h["manifest"][:1]},
         lambda h: {**h, "manifest": [[n, s[::-1]] for n, s in h["manifest"]]},
         lambda h: [h],
-        lambda h: h,  # the harness re-dumps it with json's default separators
-        lambda h: json.dumps(
-            {**h, "manifest": [h["manifest"][1], h["manifest"][0], *h["manifest"][2:]]},
-            sort_keys=True, separators=(",", ":"),
-        ),
+        lambda h: json.dumps(h),
+        lambda h: {**h, "manifest": [h["manifest"][1], h["manifest"][0], *h["manifest"][2:]]},
     ], ids=[
         "not-json", "no-manifest", "str-size", "bad-heads", "bad-pool", "str-dim",
         "int-frozen", "float-shape", "missing-tensor", "repeated-tensor",
         "wrong-shape", "not-object", "default-separators", "swapped-entries",
     ])
     def test_malformed_header_is_corrupt(self, tmp_path, edit):
+        """Each edit re-dumped canonically, so the edit alone makes the header wrong."""
+        path = self._with_header(tmp_path, edit)
+        with pytest.raises(CorruptFile):
+            model.load_checkpoint(str(path))
+
+    def test_canonical_redump_of_header_loads(self, tmp_path):
+        model.load_checkpoint(str(self._with_header(tmp_path, lambda h: h)))
+
+    @staticmethod
+    def _with_header(tmp_path, edit):
+        """A checkpoint whose header is edit(header); a dict result is dumped
+        the way save_checkpoint dumps, a string result is written as it is."""
         _, ps, te = tiny_setup()
         path = tmp_path / "m.ckpt"
         model.save_checkpoint(str(path), ps, te)
         data = path.read_bytes()
         header_end = 12 + int.from_bytes(data[8:12], "little")
         header = edit(json.loads(data[12:header_end]))
-        blob = (header if isinstance(header, str) else json.dumps(header)).encode("utf-8")
+        if not isinstance(header, str):
+            header = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        blob = header.encode("utf-8")
         path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[header_end:])
-        with pytest.raises(CorruptFile):
-            model.load_checkpoint(str(path))
+        return path
 
     @pytest.mark.parametrize("name", ["w_in", "text0.b"])
     def test_extra_named_like_a_tensor_is_not_saved(self, tmp_path, name):
