@@ -4,7 +4,8 @@ One recursive reader serves every configuration section. A JSON object is laid
 over a base instance field by field, and each value is checked against its
 annotation: int, float, str, bool, X | None, tuple[X, ...] and nested
 dataclasses. Unknown keys fail with their dotted path. Numbers must be finite,
-because Python's json module accepts NaN and Infinity.
+because Python's json module accepts NaN and Infinity. The reader checks keys
+and types only; each dataclass checks its own ranges when it is constructed.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ class LossConfig:
     init_t: float = 10.0         # sigmoid head multiplier
     init_b: float = -10.0        # sigmoid head bias
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in ("infonce", "siglip"):
             raise ConfigError(f"loss kind must be 'infonce' or 'siglip', got {self.kind!r}")
         if self.init_inv_temp <= 0 or self.init_t <= 0:
@@ -84,7 +84,6 @@ class LossParams:
 
 
 def create_loss_params(config: LossConfig) -> LossParams:
-    config.validate()
     if config.kind == "infonce":
         tensors = {"loss.log_inv_temp": ad.param(np.log(config.init_inv_temp))}
     else:
@@ -155,7 +154,7 @@ class AdamHyper:
     eps: float = 1e-8
     weight_decay: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("adam betas must lie in [0, 1)")
         if self.eps <= 0:
@@ -216,7 +215,7 @@ class TrainStage:
     lr: float = 1e-3
     unfreeze_text_layers: tuple[int, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigError("each stage needs epochs >= 1")
         if self.lr <= 0:
@@ -234,9 +233,7 @@ class TrainSchedule:
     grad_accum: int = 1
     eval_ks: tuple[int, ...] = (1, 5, 10)
 
-    def validate(self) -> None:
-        for stage in self.stages:
-            stage.validate()
+    def __post_init__(self) -> None:
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
         if self.warmup_steps < 0:
@@ -247,7 +244,6 @@ class TrainSchedule:
             raise ConfigError("grad_accum must be >= 1")
         if self.seed < 0:
             raise ConfigError("schedule seed must be >= 0")
-        self.adam.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +304,6 @@ def train(
     against the full train+holdout gallery). An empty schedule returns the
     parameters untouched.
     """
-    schedule.validate()
-    loss_config.validate()
     n = len(train_records)
     if n < 2:
         raise DegenerateInput("train: need at least 2 training records")

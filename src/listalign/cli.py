@@ -128,7 +128,6 @@ def cmd_train(args) -> int:
             init_seed=args.seed,
             schedule=dataclasses.replace(cfg.schedule, seed=args.seed),
         )
-        cfg.validate()  # --seed can be negative: check it before the towers draw from it
     train_recs, holdout_recs, gcfg = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
     # the dataset's own geometry wins over whatever the config file says
     cfg = dataclasses.replace(cfg, generator=gcfg)
@@ -207,6 +206,8 @@ def cmd_eval(args) -> int:
     dims = _parse_int_list(args.sweep, "--sweep") if args.sweep else ()
     if args.sweep_csv and not dims:
         raise ConfigError("--sweep-csv needs --sweep")
+    if args.quantize_sweep and not dims:
+        raise ConfigError("--quantize-sweep needs --sweep")
     # the probes need the records' attributes, so the dataset loads either way
     train_recs, holdout_recs, gcfg = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
     g = gallerymod.cached(args.model, args.data)

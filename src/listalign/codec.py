@@ -502,7 +502,12 @@ _CLASSES = [cls for cls, _ in KINDS.values()]  # indexed by tag byte
 
 @dataclass(frozen=True)
 class CodecSettings:
-    """The codec section of the pipeline config; each kind reads its own fields."""
+    """The codec section of the pipeline config; each kind reads its own fields.
+
+    Every field's range is checked on construction whichever kind reads it.
+    What needs the data or combines fields (k <= rows, rotated_dim >= width,
+    rotated_dim % m) is left to the trainers.
+    """
 
     kind: str = "opq"
     m: int = 4
@@ -514,16 +519,26 @@ class CodecSettings:
     seed: int = 0
     out_dim: int = 40
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"codec.kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
+        if self.m < 1:
+            raise ConfigError("codec.m must be >= 1")
+        if not 1 <= self.k <= 256:
+            raise ConfigError("codec.k must lie in [1, 256], one byte per code")
+        for name in ("iters", "kmeans_iters", "outer_iters"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"codec.{name} must be >= 0")
+        if self.out_dim < 1:
+            raise ConfigError("codec.out_dim must be >= 1")
+        if self.rotated_dim is not None and self.rotated_dim < 1:
+            raise ConfigError("codec.rotated_dim must be >= 1")
         if self.seed < 0:
             raise ConfigError("codec.seed must be >= 0")
 
 
 def train_codec(settings: CodecSettings, x) -> Codec:
     """Train a codec of settings.kind on the rows of x."""
-    settings.validate()
     return KINDS[settings.kind][1](settings, x)
 
 

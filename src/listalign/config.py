@@ -3,6 +3,12 @@
 Unknown keys are rejected with their dotted path rather than silently ignored,
 so a typo like "warmup_stpes" fails loudly. Every field has a default; an empty
 object {} is a complete, runnable configuration.
+
+_schema checks keys and types; each section class checks its own ranges in
+__post_init__, so a config object that exists is valid, whether it came from
+a file, a constructor or dataclasses.replace. PipelineConfig itself checks
+only what spans sections: the tower configs built from the generator's widths
+and init_seed.
 """
 
 from __future__ import annotations
@@ -37,11 +43,21 @@ class FilterSettings:
     alignment_threshold: float = 0.3
     use_alignment: bool = False  # score against the generator's own maps
 
+    def __post_init__(self) -> None:
+        if self.min_photos < 0 or self.min_text_len < 0:
+            raise ConfigError("filter thresholds must be >= 0")
+
 
 @dataclass(frozen=True)
 class SplitSettings:
     holdout_fraction: float = 0.1
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.holdout_fraction < 1.0:
+            raise ConfigError("split.holdout_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError("split.seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -81,10 +97,6 @@ class PipelineConfig:
     codec: CodecSettings = field(default_factory=CodecSettings)
     init_seed: int = 0
 
-    @property
-    def text_hidden(self) -> tuple[int, ...]:
-        return self.text_tower.hidden
-
     def set_encoder_config(self) -> SetEncoderConfig:
         s = self.set_encoder
         return SetEncoderConfig(
@@ -98,29 +110,20 @@ class PipelineConfig:
         )
 
     def text_tower_config(self) -> TextTowerConfig:
-        dims = (self.generator.d_text, *self.text_hidden, self.set_encoder.d_out)
+        dims = (self.generator.d_text, *self.text_tower.hidden, self.set_encoder.d_out)
         return TextTowerConfig(dims=dims)
 
-    def validate(self) -> None:
-        self.generator.validate()
-        self.loss.validate()
-        self.schedule.validate()
-        self.set_encoder_config().validate()
-        self.text_tower_config().validate()
-        if not 0.0 < self.split.holdout_fraction < 1.0:
-            raise ConfigError("split.holdout_fraction must lie in (0, 1)")
-        if self.filters.min_photos < 0 or self.filters.min_text_len < 0:
-            raise ConfigError("filter thresholds must be >= 0")
-        if self.split.seed < 0 or self.init_seed < 0:
-            raise ConfigError("split.seed and init_seed must be >= 0")
-        self.codec.validate()
+    def __post_init__(self) -> None:
+        # building the tower configs checks the widths they take from other sections
+        self.set_encoder_config()
+        self.text_tower_config()
+        if self.init_seed < 0:
+            raise ConfigError("init_seed must be >= 0")
 
 
 def parse_pipeline_config(raw: dict) -> PipelineConfig:
-    """Build a validated PipelineConfig from a parsed JSON object."""
-    pc = parse_dataclass(PipelineConfig, raw, base=PipelineConfig())
-    pc.validate()
-    return pc
+    """Build a PipelineConfig from a parsed JSON object."""
+    return parse_dataclass(PipelineConfig, raw, base=PipelineConfig())
 
 
 def load_pipeline_config(path: str) -> PipelineConfig:

@@ -75,7 +75,7 @@ class SetEncoderConfig:
     p_max: int = 8
     pool: str = "last"  # "last" or "mean"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.d_in, self.d_model, self.n_layers, self.n_heads, self.d_out, self.p_max) < 1:
             raise ConfigError("set encoder: all sizes must be >= 1")
         if self.d_model % self.n_heads != 0:
@@ -103,7 +103,7 @@ class TextTowerConfig:
     def n_layers(self) -> int:
         return len(self.dims) - 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.dims) < 2:
             raise ConfigError("text tower: need at least input and output dims")
         if min(self.dims) < 1:
@@ -139,7 +139,6 @@ _INIT_STD = {"weight": INIT_STD, "pos": POS_INIT_STD}
 
 def _set_encoder_layout(config: SetEncoderConfig) -> list:
     """(name, shape, init kind) of every set-encoder tensor, in manifest order."""
-    config.validate()
     dm = config.d_model
     layout = [("w_in", (config.d_in, dm), "weight"), ("b_in", (dm,), "bias"),
               ("pos_emb", (config.p_max, dm), "pos")]
@@ -151,7 +150,6 @@ def _set_encoder_layout(config: SetEncoderConfig) -> list:
 
 def _text_layout(config: TextTowerConfig) -> list:
     """(name, shape, init kind) of every text-tower tensor, in manifest order."""
-    config.validate()
     layout = []
     for i in range(config.n_layers):
         layout += [(f"text{i}.w", (config.dims[i], config.dims[i + 1]), "weight"),

@@ -65,7 +65,7 @@ class GeneratorConfig:
     aspect_count: int = 4
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_listings < 1:
             raise ConfigError("generator: n_listings must be >= 1")
         if self.d_latent < 1 or self.d_photo < 1 or self.d_text < 1:
@@ -129,7 +129,6 @@ def _draw_maps(config: GeneratorConfig, rng: np.random.Generator) -> GeneratorMo
 
 def build_generator(config: GeneratorConfig) -> GeneratorModel:
     """Reconstruct the fixed maps for a config (same seed, same maps)."""
-    config.validate()
     return _draw_maps(config, np.random.default_rng(config.seed))
 
 
@@ -143,7 +142,6 @@ def _attributes(latent: np.ndarray) -> dict:
 
 def generate(config: GeneratorConfig) -> list[ListingRecord]:
     """Generate n_listings records, deterministically from config.seed."""
-    config.validate()
     cfg = config
     rng = np.random.default_rng(cfg.seed)
     model = _draw_maps(cfg, rng)  # maps come first on the stream; see build_generator
@@ -389,7 +387,6 @@ def load_generator_config(directory: str) -> GeneratorConfig:
     raw = load_json(path)
     try:
         config = parse_dataclass(GeneratorConfig, raw, "generator")
-        config.validate()
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return config

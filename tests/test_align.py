@@ -64,7 +64,7 @@ def test_loss_input_validation():
     with pytest.raises(DegenerateInput):
         align.siglip_loss(np.array([[np.inf]]))
     with pytest.raises(ConfigError):
-        align.LossConfig(kind="triplet").validate()
+        align.LossConfig(kind="triplet")
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,29 @@ def test_quantize_unknown_codec_kind_exits_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("opq", "m", 0),
+    ("opq", "k", 300),
+    ("pq", "iters", -1),
+    ("opq", "kmeans_iters", -1),
+    ("opq", "outer_iters", -1),
+    ("pca", "out_dim", 0),
+    ("opq", "rotated_dim", 0),
+])
+def test_bad_codec_section_exits_2(workspace, tmp_path, capsys, kind, field, value):
+    # each value is out of range whatever the data, so it is a config error, not a codec failure
+    cfg_path = tmp_path / "codec.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, "codec": {"kind": kind, field: value}}))
+    out = tmp_path / "q"
+    assert main([
+        "quantize", "--config", str(cfg_path), "--emb", str(workspace["data"] / "train" / "text.emb"),
+        "--out", str(out), "--quiet",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: codec.{field} must")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage", ["gen", "train", "quantize"])
 @pytest.mark.parametrize("override", [
     None,
@@ -552,7 +575,9 @@ def test_search_top_below_one_exits_2(workspace, capsys, top):
     (["--sweep", "0"], "--sweep values must be at least 1, got 0"),
     (["--sweep", "2,1000"], "--sweep dims must be at most 8, the gallery's embedding width, got 1000"),
     (["--sweep-csv", "CSV"], "--sweep-csv needs --sweep"),
-], ids=["ks-zero", "ks-negative", "ks-not-int", "sweep-zero", "sweep-too-wide", "csv-without-sweep"])
+    (["--quantize-sweep"], "--quantize-sweep needs --sweep"),
+], ids=["ks-zero", "ks-negative", "ks-not-int", "sweep-zero", "sweep-too-wide", "csv-without-sweep",
+        "quantize-without-sweep"])
 def test_eval_argument_error_exits_2(workspace, tmp_path, capsys, flags, message):
     report, csv = tmp_path / "r.json", tmp_path / "s.csv"
     argv = ["eval", "--data", str(workspace["data"]), "--model", str(workspace["run"] / "checkpoint.blm"),

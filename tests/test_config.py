@@ -1,20 +1,23 @@
 """Strict pipeline-config parsing: defaults, overrides, and rejection paths."""
 
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from listalign import codec, config as configmod
-from listalign.align import TrainStage
+from listalign.align import AdamHyper, LossConfig, TrainSchedule, TrainStage
 from listalign.errors import ConfigError
+from listalign.model import SetEncoderConfig, TextTowerConfig
+from listalign.synth import GeneratorConfig
 
 
 def test_empty_object_is_a_complete_config():
     pc = configmod.parse_pipeline_config({})
+    # the default construction runs every section's checks and the cross-section ones
     assert pc == configmod.PipelineConfig()
-    pc.validate()
 
 
 def test_resolved_dict_round_trips():
@@ -38,7 +41,7 @@ def test_resolved_dict_round_trips():
     assert again == pc
     assert pc.schedule.stages[1].unfreeze_text_layers == (0, 1)
     assert pc.schedule.adam.weight_decay == 0.01
-    assert pc.text_hidden == (24,)
+    assert pc.text_tower.hidden == (24,)
 
 
 def test_unknown_top_level_key_names_itself():
@@ -113,6 +116,27 @@ def test_negative_seeds_rejected(raw, where):
         configmod.parse_pipeline_config(raw)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: replace(GeneratorConfig(n_listings=8), d_photo=2), "photo/text dims must be >= d_latent"),
+    (lambda: replace(configmod.FilterSettings(), min_text_len=-1), "filter thresholds must be >= 0"),
+    (lambda: replace(configmod.SplitSettings(), holdout_fraction=1.5), "split.holdout_fraction"),
+    (lambda: replace(SetEncoderConfig(d_in=4), n_heads=3), "not divisible by n_heads 3"),
+    (lambda: replace(TextTowerConfig(dims=(4, 8)), dims=(4, 0)), "text tower: all dims must be >= 1"),
+    (lambda: replace(LossConfig(), init_t=0.0), "loss temperature initializers must be positive"),
+    (lambda: replace(AdamHyper(), beta2=1.0), "adam betas must lie in [0, 1)"),
+    (lambda: replace(TrainStage(), epochs=0), "each stage needs epochs >= 1"),
+    (lambda: replace(TrainSchedule(), batch_size=1), "batch_size must be >= 2"),
+    (lambda: replace(codec.CodecSettings(), k=300), "codec.k must lie in [1, 256]"),
+    (lambda: replace(configmod.PipelineConfig(), init_seed=-1), "init_seed must be >= 0"),
+    (lambda: replace(configmod.PipelineConfig(), set_encoder=configmod.SetEncoderSettings(d_model=30)),
+     "d_model 30 not divisible by n_heads 4"),
+], ids=["generator", "filters", "split", "set-encoder", "text-tower", "loss", "adam", "stage",
+        "schedule", "codec", "pipeline", "pipeline-cross-section"])
+def test_config_objects_check_themselves(make, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        make()
+
+
 def test_nullable_fields_accept_null():
     pc = configmod.parse_pipeline_config(
         {"schedule": {"cosine_horizon": None}, "codec": {"rotated_dim": None}}
@@ -168,7 +192,7 @@ def _positive():
 _SEED = st.integers(0, 2**40)
 _INT_LIST = st.lists(st.integers(0, 8), max_size=4)
 
-# every field of every section, each drawn only from values validate() accepts:
+# every field of every section, each drawn only from values the config classes accept:
 # photo and text dims never fall below the largest d_latent, and every d_model
 # drawn is divisible by every n_heads drawn
 _SECTIONS = {

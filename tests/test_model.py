@@ -137,11 +137,11 @@ class TestEncoding:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            model.SetEncoderConfig(d_in=4, d_model=10, n_heads=4).validate()
+            model.SetEncoderConfig(d_in=4, d_model=10, n_heads=4)
         with pytest.raises(ConfigError):
-            model.SetEncoderConfig(d_in=4, pool="max").validate()
+            model.SetEncoderConfig(d_in=4, pool="max")
         with pytest.raises(ConfigError):
-            model.TextTowerConfig(dims=(8,)).validate()
+            model.TextTowerConfig(dims=(8,))
 
 
 @functools.cache
