@@ -10,7 +10,7 @@
 
 import numpy as np
 
-from listalign import align, eval as evaluation, model, synth
+from listalign import align, eval as evaluation, gallery, model, synth
 
 gen = synth.GeneratorConfig(
     n_listings=256, d_latent=10, d_photo=14, d_text=14,
@@ -35,11 +35,10 @@ schedule = align.TrainSchedule(
 
 def snapshot(tag):
     everything = train_records + holdout_records
-    tx = model.encode_text(te, synth.pack_texts(everything))
-    photos, counts = synth.pack_photos(everything)
-    px = model.encode_photoset_batch(ps, photos, counts)
+    embedded = gallery.embed(ps, te, everything)
     holdout_rows = np.arange(len(train_records), len(everything))
-    m = evaluation.retrieval_metrics(tx, px, ks=(1, 5), query_indices=holdout_rows)
+    m = evaluation.retrieval_metrics(embedded.text, embedded.photo, ks=(1, 5),
+                                     query_indices=holdout_rows)
     print(f"{tag}: recall@1 {m.recall_t2i[1]:.3f}  recall@5 {m.recall_t2i[5]:.3f}"
           f"  mean rank {m.mean_rank_t2i:.2f} of {m.n_gallery}")
 

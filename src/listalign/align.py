@@ -12,6 +12,11 @@ Training runs staged: each stage sets its own learning rate and its own set of
 unfrozen text-tower layers (the set encoder always trains). Adam uses decoupled
 weight decay, linear warmup, and cosine decay over a shared step counter.
 Everything is deterministic for a fixed schedule seed.
+
+A parameter set is one ordered dict[str, Var]. train builds it once from the
+set encoder's tensors, the text tower's, then the loss scalars (named
+"loss.*"), and model.backward, init_adam_state and adam_step all take it, so
+gradients, moments and updates follow that one order.
 """
 
 from __future__ import annotations
@@ -72,9 +77,6 @@ class LossParams:
 
     kind: str
     tensors: dict[str, Var]
-
-    def named(self):
-        return list(self.tensors.items())
 
     def temperature(self) -> float:
         """Current temperature (the softmax divisor, or 1/t for the sigmoid head)."""
@@ -169,13 +171,10 @@ class AdamState:
     v: dict[str, np.ndarray]
 
 
-def init_adam_state(*param_groups) -> AdamState:
-    m, v = {}, {}
-    for group in param_groups:
-        for name, var in group.named():
-            m[name] = np.zeros_like(var.value)
-            v[name] = np.zeros_like(var.value)
-    return AdamState(m=m, v=v)
+def init_adam_state(params: dict[str, Var]) -> AdamState:
+    """Zero first and second moments for every tensor in params."""
+    return AdamState(m={name: np.zeros_like(var.value) for name, var in params.items()},
+                     v={name: np.zeros_like(var.value) for name, var in params.items()})
 
 
 def learning_rate_at(step: int, base_lr: float, warmup_steps: int, horizon: int) -> float:
@@ -185,7 +184,8 @@ def learning_rate_at(step: int, base_lr: float, warmup_steps: int, horizon: int)
     return base_lr * warm * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def adam_step(param_groups, grads, state: AdamState, hyper: AdamHyper, step_index: int, lr: float) -> None:
+def adam_step(params: dict[str, Var], grads, state: AdamState, hyper: AdamHyper,
+              step_index: int, lr: float) -> None:
     """One Adam update with bias correction and decoupled weight decay.
 
     Frozen tensors (requires_grad False) are skipped entirely: neither their
@@ -194,15 +194,14 @@ def adam_step(param_groups, grads, state: AdamState, hyper: AdamHyper, step_inde
     t = step_index + 1
     bc1 = 1.0 - hyper.beta1**t
     bc2 = 1.0 - hyper.beta2**t
-    for group in param_groups:
-        for name, var in group.named():
-            if not var.requires_grad:
-                continue
-            g = grads[name]
-            m = state.m[name] = hyper.beta1 * state.m[name] + (1.0 - hyper.beta1) * g
-            v = state.v[name] = hyper.beta2 * state.v[name] + (1.0 - hyper.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
-            var.value = var.value - lr * (update + hyper.weight_decay * var.value)
+    for name, var in params.items():
+        if not var.requires_grad:
+            continue
+        g = grads[name]
+        m = state.m[name] = hyper.beta1 * state.m[name] + (1.0 - hyper.beta1) * g
+        v = state.v[name] = hyper.beta2 * state.v[name] + (1.0 - hyper.beta2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
+        var.value = var.value - lr * (update + hyper.weight_decay * var.value)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +312,8 @@ def train(
         modelmod.set_text_freeze(te, stage.unfreeze_text_layers)
 
     loss_params = create_loss_params(loss_config)
-    state = init_adam_state(ps, te, loss_params)
-    groups = (ps, te, loss_params)
+    params = {**ps.tensors, **te.tensors, **loss_params.tensors}
+    state = init_adam_state(params)
     log = TrainLog()
 
     photos, counts = pack_photos(train_records)
@@ -345,7 +344,7 @@ def train(
                 logits, tape = modelmod.forward_batch(ps, te, photos[idx], counts[idx], texts[idx])
                 with tape:
                     loss = compute_loss(loss_params, logits)
-                grads = modelmod.backward(tape, loss, *groups)
+                grads = modelmod.backward(tape, loss, params)
                 losses.append(float(loss.value))
                 if acc_grads is None:
                     acc_grads = grads
@@ -358,7 +357,7 @@ def train(
                         for name in acc_grads:
                             acc_grads[name] = acc_grads[name] / acc_count
                     lr = learning_rate_at(step, stage.lr, schedule.warmup_steps, horizon)
-                    adam_step(groups, acc_grads, state, schedule.adam, step, lr)
+                    adam_step(params, acc_grads, state, schedule.adam, step, lr)
                     gnorm = float(
                         np.sqrt(sum(float(np.sum(g * g)) for g in acc_grads.values()))
                     )

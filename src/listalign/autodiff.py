@@ -13,17 +13,18 @@ backward raises StaleTape.
 Broadcasting follows numpy; gradients are summed back over broadcast axes.
 
 Fused ops record a repeated composite as one node with a closed-form backward:
-linear (matmul plus bias), layer_norm, softmax, log_softmax, logsumexp, and
-split_heads/merge_heads (attention's put-rows, reshape and transpose). Each
-fused forward replays the composite's numpy operations in the same order, so
-its value has the composite's bits; only the backward's summation order
-differs.
+linear (matmul plus an optional bias), layer_norm, softmax, log_softmax,
+logsumexp, and split_heads/merge_heads (attention's put-rows, reshape and
+transpose). Each fused forward replays the composite's numpy operations in the
+same order, so its value has the composite's bits; only the backward's
+summation order differs.
 
 Row stability: matmul gives a row the same bits alone or inside any batch.
-With a 2-D right operand (every weight, and the logit product) the left
-operand's rows run in fixed 8-row tiles, one same-shape BLAS gemm per tile;
-with stacked operands (attention) each stacked slice is its own gemm. Backward
-is deterministic at a fixed BLAS thread count but not batch invariant.
+With a 2-D right operand (every weight, and the logit product) matmul is a
+linear node without a bias: the left operand's rows run in fixed 8-row tiles,
+one same-shape BLAS gemm per tile. With stacked operands (attention) each
+stacked slice is its own gemm. Backward is deterministic at a fixed BLAS
+thread count but not batch invariant.
 """
 
 from __future__ import annotations
@@ -251,47 +252,42 @@ def _tiled_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def matmul(a, b) -> Var:
-    # Row stability: with a 2-D right operand (every weight) the product runs
-    # in fixed 8-row tiles; a stacked right operand gets one gemm per stacked
-    # slice. Either way a row's result is bit-identical alone or in any batch.
-    # Backward only needs determinism, and skips operands that need no grad.
+    # Row stability: a 2-D right operand (every weight) makes this a linear
+    # node without a bias, run in 8-row tiles; a stacked right operand gets one
+    # gemm per stacked slice. Either way a row's result is bit-identical alone
+    # or in any batch. Backward only needs determinism, and skips operands
+    # that need no grad.
     a, b = _lift(a), _lift(b)
     av, bv = a.value, b.value
     if av.ndim < 2 or bv.ndim < 2:
         raise ShapeMismatch("matmul: operands must have at least 2 dimensions")
-
     if bv.ndim == 2:
-        out_val = _tiled_matmul(av, bv)
+        return linear(a, b)
+    out_val = np.matmul(av, bv)
 
-        def grad_fn(g):
-            grads = []
-            if a.requires_grad:
-                grads.append((a, g @ bv.T))
-            if b.requires_grad:
-                k, n = bv.shape
-                grads.append((b, av.reshape(-1, k).T @ g.reshape(-1, n)))
-            return grads
-    else:
-        out_val = np.matmul(av, bv)
-
-        def grad_fn(g):
-            grads = []
-            if a.requires_grad:
-                grads.append((a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)))
-            if b.requires_grad:
-                grads.append((b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
-            return grads
+    def grad_fn(g):
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
+        return grads
 
     return _make(out_val, (a, b), grad_fn)
 
 
-def linear(x, w, b) -> Var:
-    """x (..., k) @ w (k, n) + b (n,) as one node: matmul's tiled product with
-    the bias added in place, so rows keep matmul's batch-independent bits."""
-    x, w, b = _lift(x), _lift(w), _lift(b)
+def linear(x, w, b=None) -> Var:
+    """x (..., k) @ w (k, n) + b (n,) as one node: an 8-row tiled product with
+    the bias added in place, so rows keep batch-independent bits. Without b
+    the node is the plain product and records x and w as its parents."""
+    x, w = _lift(x), _lift(w)
     xv, wv = x.value, w.value
     out_val = _tiled_matmul(xv, wv)
-    out_val += b.value
+    parents = (x, w)
+    if b is not None:
+        b = _lift(b)
+        out_val += b.value
+        parents += (b,)
 
     def grad_fn(g):
         k, n = wv.shape
@@ -300,11 +296,11 @@ def linear(x, w, b) -> Var:
             grads.append((x, g @ wv.T))
         if w.requires_grad:
             grads.append((w, xv.reshape(-1, k).T @ g.reshape(-1, n)))
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             grads.append((b, g.reshape(-1, n).sum(axis=0)))
         return grads
 
-    return _make(out_val, (x, w, b), grad_fn)
+    return _make(out_val, parents, grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     # the loss scalars ride along in the checkpoint payload under their own names
-    loss_extra = {name: var.value for name, var in result.loss_params.named()}
+    loss_extra = {name: var.value for name, var in result.loss_params.tensors.items()}
     checkpoint = os.path.join(args.out, "checkpoint.blm")
     modelmod.save_checkpoint(checkpoint, result.ps, result.te, extra=loss_extra)
     result.log.save_jsonl(os.path.join(args.out, "trainlog.jsonl"))

@@ -173,7 +173,15 @@ class PqCodebook:
     @classmethod
     def read(cls, r: Reader) -> PqCodebook:
         dim, m, k, sub_dim = (r.u32() for _ in range(4))
+        _check_pq_header(r, dim, m, k, sub_dim)
         return cls(dim, m, k, sub_dim, r.f32((m, k, sub_dim)))
+
+
+def _check_pq_header(r: Reader, dim: int, m: int, k: int, sub_dim: int) -> None:
+    """CorruptFile unless the dims are ones pq_train writes."""
+    if m < 1 or not 1 <= k <= 256 or sub_dim != -(-dim // m):
+        raise CorruptFile(f"{r.path}: PQ header dim={dim} m={m} k={k} sub_dim={sub_dim} "
+                          "is not one pq_train writes")
 
 
 def _pad_columns(x: np.ndarray, width: int) -> np.ndarray:
@@ -298,6 +306,10 @@ class OpqCodec:
     @classmethod
     def read(cls, r: Reader) -> OpqCodec:
         input_dim, rotated_dim, m, k, sub_dim = (r.u32() for _ in range(5))
+        if rotated_dim != m * sub_dim or input_dim > rotated_dim:
+            raise CorruptFile(f"{r.path}: OPQ header input_dim={input_dim} rotated_dim={rotated_dim} "
+                              f"m={m} sub_dim={sub_dim} is not one opq_train writes")
+        _check_pq_header(r, rotated_dim, m, k, sub_dim)
         rotation = r.f32((rotated_dim, rotated_dim))
         pq = PqCodebook(rotated_dim, m, k, sub_dim, r.f32((m, k, sub_dim)))
         return cls(input_dim, rotated_dim, rotation, pq)
@@ -329,6 +341,8 @@ def opq_train(
     """
     x = as_matrix(x)
     n, d = x.shape
+    if m < 1:
+        raise DegenerateInput(f"opq_train: m must be >= 1, got {m}")
     if rotated_dim is None:
         rotated_dim = -(-d // m) * m
     if rotated_dim < d:
@@ -614,8 +628,9 @@ def save_codec(path: str, codec: Codec) -> None:
 
 
 def load_codec(path: str) -> Codec:
-    """Read any codec; a payload no trainer could produce (a non-finite
-    parameter, a scale not above 0) is CorruptFile."""
+    """Read any codec; a file no trainer could write (PQ or OPQ dims that do
+    not fit together, a non-finite parameter, a scale not above 0) is
+    CorruptFile."""
     r = Reader(path, CODEC_MAGIC)
     tag = r.u8()
     if tag >= len(_CLASSES):

@@ -18,6 +18,11 @@ Layer statistics are always per example, and padded photo rows cannot
 influence real positions, so encoding a listing alone or inside any batch is
 bit-identical.
 
+Each tower keeps its trainable tensors in ``tensors``, a name -> Var dict in
+layout order. A parameter set is one such dict[str, Var] (align.train merges
+both towers' and the loss scalars'); backward takes one and returns its
+gradients under the same names, in the same order.
+
 Checkpoint format: magic "BLMODEL1", u32 header length, canonical-JSON header
 (architecture, freeze flags, parameter manifest), float32 payload in manifest
 order, little-endian. load_checkpoint rebuilds the header from the towers and
@@ -91,9 +96,6 @@ class SetEncoderParams:
     config: SetEncoderConfig
     tensors: dict[str, Var]  # name -> trainable Var, in manifest order
 
-    def named(self):
-        return list(self.tensors.items())
-
 
 @dataclass(frozen=True)
 class TextTowerConfig:
@@ -119,9 +121,6 @@ class TextTowerParams:
     def frozen(self) -> list[bool]:
         """Per layer: whether set_text_freeze has stopped its gradients."""
         return [not self.tensors[f"text{i}.w"].requires_grad for i in range(self.config.n_layers)]
-
-    def named(self):
-        return list(self.tensors.items())
 
 
 _LAYER_TENSORS = (  # name, shape in d_model units, init kind
@@ -373,20 +372,14 @@ def forward_batch(ps: SetEncoderParams, te: TextTowerParams, photos, counts, tex
     return logits, tape
 
 
-def backward(tape: Tape, loss: Var, *param_groups) -> dict[str, np.ndarray]:
-    """Gradients for every tensor in the given parameter groups.
+def backward(tape: Tape, loss: Var, params: dict[str, Var]) -> dict[str, np.ndarray]:
+    """Gradients for every tensor in params, keyed and ordered as params.
 
     Frozen or unreached tensors get exact zeros. Consumes the tape.
     """
     raw = ad.backward(tape, loss)
-    out: dict[str, np.ndarray] = {}
-    for group in param_groups:
-        for name, var in group.named():
-            if name in out:
-                raise ConfigError(f"duplicate parameter name {name!r} across groups")
-            grad = raw.get(id(var))
-            out[name] = np.zeros_like(var.value) if grad is None else grad
-    return out
+    return {name: raw[id(var)] if id(var) in raw else np.zeros_like(var.value)
+            for name, var in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +407,7 @@ def save_checkpoint(path: str, ps: SetEncoderParams, te: TextTowerParams, extra=
     """Write both towers (and any extra named scalars) as one BLMODEL1 file."""
     extra = extra or {}
     blob = _header(ps, te, {name: np.shape(v) for name, v in extra.items()})
-    payload = [pack_f32(var.value) for _, var in ps.named() + te.named()]
+    payload = [pack_f32(var.value) for var in [*ps.tensors.values(), *te.tensors.values()]]
     payload += [pack_f32(v) for v in extra.values()]
     atomic_write_bytes(path, CKPT_MAGIC + pack_u32(len(blob)) + blob + b"".join(payload))
 
@@ -440,7 +433,7 @@ def load_checkpoint(path: str):
             raise ConfigError("not the header save_checkpoint writes for these towers")
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError, ConfigError) as exc:
         raise CorruptFile(f"{path}: malformed checkpoint header: {exc}") from None
-    for _, var in ps.named() + te.named():
+    for var in [*ps.tensors.values(), *te.tensors.values()]:
         var.value = r.f32(var.value.shape)
     extra = {name: r.f32(shape) for name, shape in extra.items()}
     r.end()

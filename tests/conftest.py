@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from listalign import align, eval as evalmod, model, synth
+from listalign import align, eval as evalmod, gallery, model, synth
 from listalign.errors import CorruptFile
 
 SEEDS = (0, 1, 2)
@@ -68,13 +68,6 @@ def single_stage_schedule(seed):
     )
 
 
-def encode_all(ps, te, records):
-    photos, counts = synth.pack_photos(records)
-    ps_emb = model.encode_photoset_batch(ps, photos, counts)
-    tx_emb = model.encode_text(te, synth.pack_texts(records))
-    return ps_emb, tx_emb
-
-
 @dataclass
 class TrainedRun:
     seed: int
@@ -105,7 +98,7 @@ def trained_runs():
         train_recs, holdout_recs = standard_dataset(seed)
         everything = train_recs + holdout_recs
         ps0, te0 = standard_towers(seed)
-        u_ps, u_tx = encode_all(ps0, te0, everything)
+        untrained = gallery.embed(ps0, te0, everything)
         ps, te = standard_towers(seed)
         started = time.time()
         result = align.train(
@@ -113,11 +106,12 @@ def trained_runs():
             align.LossConfig(kind="infonce"), two_stage_schedule(seed),
         )
         elapsed = time.time() - started
-        ps_emb, tx_emb = encode_all(ps, te, everything)
+        trained = gallery.embed(ps, te, everything)
         runs[seed] = TrainedRun(
             seed=seed, train_records=train_recs, holdout_records=holdout_recs,
-            ps=ps, te=te, result=result, ps_emb=ps_emb, tx_emb=tx_emb,
-            untrained_ps_emb=u_ps, untrained_tx_emb=u_tx, train_seconds=elapsed,
+            ps=ps, te=te, result=result, ps_emb=trained.photo, tx_emb=trained.text,
+            untrained_ps_emb=untrained.photo, untrained_tx_emb=untrained.text,
+            train_seconds=elapsed,
         )
     return runs
 
@@ -133,8 +127,8 @@ def single_stage_mean_ranks():
             train_recs, holdout_recs, ps, te,
             align.LossConfig(kind="infonce"), single_stage_schedule(seed),
         )
-        ps_emb, tx_emb = encode_all(ps, te, train_recs + holdout_recs)
+        embedded = gallery.embed(ps, te, train_recs + holdout_recs)
         q = np.arange(len(train_recs), len(train_recs) + len(holdout_recs))
-        m = evalmod.retrieval_metrics(tx_emb, ps_emb, ks=(1,), query_indices=q)
+        m = evalmod.retrieval_metrics(embedded.text, embedded.photo, ks=(1,), query_indices=q)
         ranks[seed] = m.mean_rank_t2i
     return ranks

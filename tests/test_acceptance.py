@@ -14,7 +14,7 @@ import pytest
 from listalign import align, autodiff as ad, codec as codecmod, eval as evalmod, model, synth
 from listalign.cli import main as cli_main
 
-from conftest import SEEDS, encode_all, standard_towers
+from conftest import SEEDS, standard_towers
 from gradcheck import per_tensor_fd_errors
 from test_codec import rotated_subspace_clusters
 
@@ -29,25 +29,17 @@ def _verdict(num, label, ok, detail):
 # 1. gradient correctness
 # ---------------------------------------------------------------------------
 
-class _Leaf:
-    def __init__(self, tensors):
-        self.tensors = tensors
-
-    def named(self):
-        return list(self.tensors.items())
-
-
 def _loss_only_errors(kind, seed):
     rng = np.random.default_rng(seed)
-    logits = _Leaf({"logits": ad.param(rng.normal(size=(4, 4)))})
-    params = align.create_loss_params(align.LossConfig(kind=kind))
+    logits = ad.param(rng.normal(size=(4, 4)))
+    loss_params = align.create_loss_params(align.LossConfig(kind=kind))
 
     def build():
         with ad.Tape() as tape:
-            loss = align.compute_loss(params, logits.tensors["logits"] * 1.0)
+            loss = align.compute_loss(loss_params, logits * 1.0)
         return loss, tape
 
-    return per_tensor_fd_errors(build, [logits, params], h=1e-5)
+    return per_tensor_fd_errors(build, {"logits": logits, **loss_params.tensors}, h=1e-5)
 
 
 def _full_path_errors(seed):
@@ -60,10 +52,9 @@ def _full_path_errors(seed):
     # 1e-3; a 1e-5 finite-difference step is then a sizable relative kick and
     # truncation error swamps the comparison long before any real defect would.
     mix = np.random.default_rng(seed + 200)
-    for group in (ps, te):
-        for _, var in group.named():
-            var.value = mix.normal(scale=0.7, size=var.value.shape)
-    params = align.create_loss_params(align.LossConfig(kind="infonce"))
+    for var in [*ps.tensors.values(), *te.tensors.values()]:
+        var.value = mix.normal(scale=0.7, size=var.value.shape)
+    loss_params = align.create_loss_params(align.LossConfig(kind="infonce"))
     rng = np.random.default_rng(seed + 100)
     counts = rng.integers(1, 4, size=4)
     photos = np.zeros((4, 3, 5))
@@ -74,10 +65,10 @@ def _full_path_errors(seed):
     def build():
         logits, tape = model.forward_batch(ps, te, photos, counts, texts)
         with tape:
-            loss = align.compute_loss(params, logits)
+            loss = align.compute_loss(loss_params, logits)
         return loss, tape
 
-    return per_tensor_fd_errors(build, [ps, te, params], h=1e-5)
+    return per_tensor_fd_errors(build, {**ps.tensors, **te.tensors, **loss_params.tensors}, h=1e-5)
 
 
 def test_criterion_01_gradient_correctness():

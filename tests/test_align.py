@@ -71,25 +71,17 @@ def test_loss_input_validation():
 # loss gradients
 # ---------------------------------------------------------------------------
 
-class _Group:
-    def __init__(self, tensors):
-        self.tensors = tensors
-
-    def named(self):
-        return list(self.tensors.items())
-
-
 def _loss_grad_errors(kind, seed):
     rng = np.random.default_rng(seed)
-    raw = _Group({"raw": ad.param(rng.normal(size=(6, 6)))})
-    params = align.create_loss_params(align.LossConfig(kind=kind))
+    raw = ad.param(rng.normal(size=(6, 6)))
+    loss_params = align.create_loss_params(align.LossConfig(kind=kind))
 
     def build():
         with ad.Tape() as tape:
-            loss = align.compute_loss(params, raw.tensors["raw"] * 1.0)
+            loss = align.compute_loss(loss_params, raw * 1.0)
         return loss, tape
 
-    return per_tensor_fd_errors(build, [raw, params], h=1e-6)
+    return per_tensor_fd_errors(build, {"raw": raw, **loss_params.tensors}, h=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["infonce", "siglip"])
@@ -111,22 +103,22 @@ def test_learnable_temperature_receives_gradient():
 
 def test_adam_zero_betas_signsgd_like_update():
     var = ad.param(np.array([1.0, -2.0, 0.5]))
-    group = _Group({"w": var})
-    state = align.init_adam_state(group)
+    params = {"w": var}
+    state = align.init_adam_state(params)
     hyper = align.AdamHyper(beta1=0.0, beta2=0.0, eps=1e-8, weight_decay=0.0)
     g = np.array([0.3, -0.7, 0.0])
     before = var.value.copy()
-    align.adam_step([group], {"w": g}, state, hyper, step_index=0, lr=0.1)
+    align.adam_step(params, {"w": g}, state, hyper, step_index=0, lr=0.1)
     expected = before - 0.1 * (g / (np.abs(g) + 1e-8))
     np.testing.assert_array_equal(var.value, expected)
 
 
 def test_adam_lr_zero_leaves_values_bitwise():
     var = ad.param(np.array([[0.25, -1.5]]))
-    group = _Group({"w": var})
-    state = align.init_adam_state(group)
+    params = {"w": var}
+    state = align.init_adam_state(params)
     before = var.value.copy()
-    align.adam_step([group], {"w": np.ones((1, 2))}, state, align.AdamHyper(), 0, lr=0.0)
+    align.adam_step(params, {"w": np.ones((1, 2))}, state, align.AdamHyper(), 0, lr=0.0)
     np.testing.assert_array_equal(var.value, before)
     assert state.m["w"].any()  # moments still advance
 
@@ -134,10 +126,10 @@ def test_adam_lr_zero_leaves_values_bitwise():
 def test_adam_skips_frozen_tensors_entirely():
     var = ad.param(np.array([1.0, 2.0]))
     var.requires_grad = False
-    group = _Group({"w": var})
-    state = align.init_adam_state(group)
+    params = {"w": var}
+    state = align.init_adam_state(params)
     before = var.value.copy()
-    align.adam_step([group], {"w": np.full(2, 9.0)}, state, align.AdamHyper(), 0, lr=0.5)
+    align.adam_step(params, {"w": np.full(2, 9.0)}, state, align.AdamHyper(), 0, lr=0.5)
     np.testing.assert_array_equal(var.value, before)
     assert not state.m["w"].any() and not state.v["w"].any()
 
@@ -154,10 +146,10 @@ def test_learning_rate_schedule_shape():
 
 def test_decoupled_weight_decay_acts_without_gradient():
     var = ad.param(np.array([4.0]))
-    group = _Group({"w": var})
-    state = align.init_adam_state(group)
+    params = {"w": var}
+    state = align.init_adam_state(params)
     hyper = align.AdamHyper(weight_decay=0.1)
-    align.adam_step([group], {"w": np.zeros(1)}, state, hyper, 0, lr=0.5)
+    align.adam_step(params, {"w": np.zeros(1)}, state, hyper, 0, lr=0.5)
     np.testing.assert_allclose(var.value, np.array([4.0 - 0.5 * 0.1 * 4.0]))
 
 
@@ -184,9 +176,9 @@ def _tiny_towers(seed=0, p_max=3, pool="last"):
 def test_empty_schedule_is_identity():
     records = _tiny_dataset(6)
     ps, te = _tiny_towers()
-    before = {k: v.value.copy() for k, v in ps.named() + te.named()}
+    before = {k: v.value.copy() for k, v in {**ps.tensors, **te.tensors}.items()}
     result = align.train(records, [], ps, te, align.LossConfig(), align.TrainSchedule(stages=(), batch_size=4))
-    for name, var in result.ps.named() + result.te.named():
+    for name, var in {**result.ps.tensors, **result.te.tensors}.items():
         np.testing.assert_array_equal(var.value, before[name])
     assert result.log.steps == [] and result.log.epochs == []
 
@@ -202,7 +194,7 @@ def test_batch_size_larger_than_dataset_rejected():
 def test_bad_unfreeze_index_fails_before_any_update():
     records = _tiny_dataset(8)
     ps, te = _tiny_towers()
-    before = {k: v.value.copy() for k, v in ps.named()}
+    before = {k: v.value.copy() for k, v in ps.tensors.items()}
     schedule = align.TrainSchedule(
         stages=(
             align.TrainStage(epochs=1, lr=1e-3),
@@ -212,14 +204,14 @@ def test_bad_unfreeze_index_fails_before_any_update():
     )
     with pytest.raises(ConfigError):
         align.train(records, [], ps, te, align.LossConfig(), schedule)
-    for name, var in ps.named():
+    for name, var in ps.tensors.items():
         np.testing.assert_array_equal(var.value, before[name])
 
 
 def test_frozen_text_layers_bit_identical_after_training():
     records = _tiny_dataset(12)
     ps, te = _tiny_towers()
-    before = {k: v.value.copy() for k, v in te.named()}
+    before = {k: v.value.copy() for k, v in te.tensors.items()}
     schedule = align.TrainSchedule(
         stages=(align.TrainStage(epochs=2, lr=5e-3, unfreeze_text_layers=(1,)),),
         batch_size=4, seed=1,
@@ -242,8 +234,9 @@ def test_training_is_deterministic():
         return result
 
     a, b = run(), run()
-    for (name, va), (_, vb) in zip(a.ps.named() + a.te.named(), b.ps.named() + b.te.named()):
-        np.testing.assert_array_equal(va.value, vb.value, err_msg=name)
+    b_tensors = {**b.ps.tensors, **b.te.tensors}
+    for name, va in {**a.ps.tensors, **a.te.tensors}.items():
+        np.testing.assert_array_equal(va.value, b_tensors[name].value, err_msg=name)
     assert a.log.steps == b.log.steps
     assert a.log.epochs == b.log.epochs
 

@@ -230,6 +230,11 @@ class TestOpq:
         with pytest.raises(DegenerateInput):
             codec.opq_train(x, m=3, k=4, rotated_dim=10, outer_iters=0)
 
+    @pytest.mark.parametrize("rotated_dim", [None, 12])
+    def test_rejects_m_below_one(self, rotated_dim):
+        with pytest.raises(DegenerateInput, match="m must be >= 1"):
+            codec.opq_train(np.zeros((50, 10)), m=0, k=4, rotated_dim=rotated_dim, outer_iters=0)
+
 
 # ---------------------------------------------------------------------------
 # scalar quantization
@@ -431,6 +436,22 @@ class TestPersistence:
         raw[offset : offset + 4] = np.float32(value).tobytes()
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptFile, match="non-finite|not above 0"):
+            codec.load_codec(str(path))
+
+    @pytest.mark.parametrize("kind, dims", [
+        ("pq", (20, 4, 16, 4)),  # dim, m, k, sub_dim: dim past m * sub_dim
+        ("pq", (16, 4, 0, 4)),  # k 0
+        ("opq", (20, 16, 4, 4, 4)),  # input_dim, rotated_dim, m, k, sub_dim: input past rotated
+        ("opq", (12, 16, 4, 4, 3)),  # rotated_dim 16, m * sub_dim 12
+        ("opq", (12, 14, 4, 4, 4)),  # sub_dim is ceil(14 / 4), but m * sub_dim is 16
+    ])
+    def test_header_no_trainer_writes_is_corrupt(self, kind, dims, tmp_path):
+        *_, m, k, sub_dim = dims
+        floats = m * k * sub_dim + (dims[1] ** 2 if kind == "opq" else 0)
+        path = tmp_path / f"{kind}.codec"
+        path.write_bytes(b"BLCODEC1" + bytes([list(codec.KINDS).index(kind)])
+                         + np.array(dims, "<u4").tobytes() + np.zeros(floats, "<f4").tobytes())
+        with pytest.raises(CorruptFile, match=f"is not one {kind}_train writes"):
             codec.load_codec(str(path))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.uint8])

@@ -295,11 +295,11 @@ class TestRealSlotsOnly:
                 model._encode_text_graph(te, texts), (1, 0)
             )
             ref_loss = (ref_logits * logit_mix(b)).sum()
-        ref_grads = model.backward(ref_tape, ref_loss, ps, te)
+        ref_grads = model.backward(ref_tape, ref_loss, {**ps.tensors, **te.tensors})
         logits, tape = model.forward_batch(ps, te, photos, counts, texts)
         with tape:
             loss = (logits * logit_mix(b)).sum()
-        grads = model.backward(tape, loss, ps, te)
+        grads = model.backward(tape, loss, {**ps.tensors, **te.tensors})
         np.testing.assert_array_equal(logits.value, ref_logits.value)
         # the attention key bias has an exactly-zero true gradient (softmax is
         # shift invariant), so its entries are rounding noise on both sides
@@ -341,7 +341,7 @@ class TestForwardBatch:
                     loss = (logits * ad.constant(w)).sum()
                 return loss, tape
 
-            errors = per_tensor_fd_errors(loss_builder, [ps, te])
+            errors = per_tensor_fd_errors(loss_builder, {**ps.tensors, **te.tensors})
             worst = max(errors.values())
             assert worst < 1e-4, {k: v for k, v in errors.items() if v >= 1e-4}
 
@@ -368,16 +368,20 @@ class TestForwardBatch:
         assert len(tape) <= 80
 
     def test_frozen_text_layers_get_zero_gradient(self):
-        cfg, ps, te = tiny_setup()
+        cfg, ps, te = tiny_setup(pool="mean")
         model.set_text_freeze(te, [1])  # layer 0 frozen
         photos, counts, texts = random_batch(cfg, 3, seed=13)
         logits, tape = model.forward_batch(ps, te, photos, counts, texts)
         with tape:
             loss = logits.sum()
-        grads = model.backward(tape, loss, ps, te)
+        params = {**te.tensors, **ps.tensors}  # not layout order: grads follow params
+        grads = model.backward(tape, loss, params)
+        assert list(grads) == list(params)
         assert not grads["text0.w"].any()
         assert not grads["text0.b"].any()
         assert grads["text1.w"].any()
+        # mean pooling never reads the position table: unreached, so exact zeros
+        assert not grads["pos_emb"].any() and grads["w_in"].any()
 
     def test_unfreeze_out_of_range_rejected(self):
         _, _, te = tiny_setup()
@@ -401,8 +405,9 @@ class TestCheckpoint:
         ps2, te2, _ = model.load_checkpoint(path)
         photos, counts, texts = random_batch(cfg, 4, seed=21)
         # Storage rounds to float32; compare against the round-tripped params.
-        for (_, a), (_, b) in zip(ps.named() + te.named(), ps2.named() + te2.named()):
-            np.testing.assert_array_equal(a.value.astype(np.float32), b.value.astype(np.float32))
+        loaded = {**ps2.tensors, **te2.tensors}
+        for name, a in {**ps.tensors, **te.tensors}.items():
+            np.testing.assert_array_equal(a.value.astype(np.float32), loaded[name].value.astype(np.float32))
         out1 = model.encode_photoset_batch(ps2, photos, counts)
         ps3, te3, _ = model.load_checkpoint(path)
         np.testing.assert_array_equal(out1, model.encode_photoset_batch(ps3, photos, counts))
