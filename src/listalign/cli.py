@@ -268,11 +268,12 @@ def cmd_search(args) -> int:
         # a missing --model is an OSError (exit 2), a corrupt one a search failure
         ps, te, _extra = modelmod.load_checkpoint(args.model)
         g = _embed_if_fits(args, ps, te, gcfg, train_recs + holdout_recs)
-    row_by_id = {listing: i for i, listing in enumerate(g.ids.tolist())}
-    if args.query_id not in row_by_id:
+    # an id outside int64 equals no row; a repeated id resolves to its last row
+    rows = np.flatnonzero(g.ids == args.query_id)
+    if rows.size == 0:
         raise UnknownId(f"no listing with id {args.query_id}")
     # --modality's choices are the three Gallery attributes search can rank by
-    scores = g.multimodal @ getattr(g, args.modality)[row_by_id[args.query_id]]
+    scores = g.multimodal @ getattr(g, args.modality)[rows[-1]]
     order = np.lexsort((g.ids, -scores))
 
     for i in order[: args.top]:

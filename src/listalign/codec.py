@@ -179,7 +179,7 @@ class PqCodebook:
 
 def _check_pq_header(r: Reader, dim: int, m: int, k: int, sub_dim: int) -> None:
     """CorruptFile unless the dims are ones pq_train writes."""
-    if m < 1 or not 1 <= k <= 256 or sub_dim != -(-dim // m):
+    if dim < 1 or m < 1 or not 1 <= k <= 256 or sub_dim != -(-dim // m):
         raise CorruptFile(f"{r.path}: PQ header dim={dim} m={m} k={k} sub_dim={sub_dim} "
                           "is not one pq_train writes")
 
@@ -413,6 +413,8 @@ class ScalarQuantizer:
     @classmethod
     def read(cls, r: Reader) -> ScalarQuantizer:
         dim = r.u32()
+        if dim < 1:
+            raise CorruptFile(f"{r.path}: scalar header dim={dim} is not one scalar_train writes")
         return cls(r.f32((dim,)), r.f32((dim,)))
 
 
@@ -471,6 +473,9 @@ class PcaCodec:
     @classmethod
     def read(cls, r: Reader) -> PcaCodec:
         input_dim, out_dim = r.u32(), r.u32()
+        if not 1 <= out_dim <= input_dim:
+            raise CorruptFile(f"{r.path}: PCA header input_dim={input_dim} out_dim={out_dim} "
+                              "is not one pca_codec_train writes")
         pca = PcaModel(r.f32((input_dim,)), r.f32((out_dim, input_dim)), r.f32((out_dim,)))
         return cls(input_dim, out_dim, pca, ScalarQuantizer(r.f32((out_dim,)), r.f32((out_dim,))))
 
@@ -628,9 +633,8 @@ def save_codec(path: str, codec: Codec) -> None:
 
 
 def load_codec(path: str) -> Codec:
-    """Read any codec; a file no trainer could write (PQ or OPQ dims that do
-    not fit together, a non-finite parameter, a scale not above 0) is
-    CorruptFile."""
+    """Read any codec; a file no trainer could write (header dims no trainer
+    writes, a non-finite parameter, a scale not above 0) is CorruptFile."""
     r = Reader(path, CODEC_MAGIC)
     tag = r.u8()
     if tag >= len(_CLASSES):

@@ -16,7 +16,10 @@ exactly, so the encoders' output bits are those of the composite graph. Every
 per-slot layer, the input projection included, runs on real photo slots only.
 Layer statistics are always per example, and padded photo rows cannot
 influence real positions, so encoding a listing alone or inside any batch is
-bit-identical.
+bit-identical. That is why encode_photoset_batch and encode_text may run the
+towers over consecutive blocks of listings (up to BLOCK_SLOTS padded photo
+slots each) and keep memory bounded at any dataset size: the block size
+changes no bit of the output.
 
 Each tower keeps its trainable tensors in ``tensors``, a name -> Var dict in
 layout order. A parameter set is one such dict[str, Var] (align.train merges
@@ -64,6 +67,10 @@ LN_EPS = 1e-5
 NORM_GUARD = 1e-12
 INIT_STD = 0.02
 POS_INIT_STD = 0.1
+# Inference blocks: a photo block holds max(1, BLOCK_SLOTS // p_max) listings,
+# a text block as many as a photo block at the default p_max of 8.
+BLOCK_SLOTS = 512
+TEXT_BLOCK = BLOCK_SLOTS // 8
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +319,23 @@ def _check_photo_batch(cfg: SetEncoderConfig, photos: np.ndarray, counts: np.nda
 # public encoders
 # ---------------------------------------------------------------------------
 
+def _in_blocks(graph, params, block: int, width: int, *arrays: np.ndarray) -> np.ndarray:
+    """graph(params, *rows).value over consecutive blocks of at most block rows
+    of arrays, written into one (n, width) result; (0, width) for no rows."""
+    n = arrays[0].shape[0]
+    out = np.empty((n, width))
+    for lo in range(0, n, block):
+        out[lo : lo + block] = graph(params, *(a[lo : lo + block] for a in arrays)).value
+    return out
+
+
 def encode_photoset_batch(p: SetEncoderParams, photos, counts) -> np.ndarray:
     """Encode padded photo buffers (B, p_max, d_in) to unit rows (B, d_out)."""
     photos = np.asarray(photos, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.int64)
     _check_photo_batch(p.config, photos, counts)
-    return _encode_photoset_graph(p, photos, counts).value
+    block = max(1, BLOCK_SLOTS // p.config.p_max)
+    return _in_blocks(_encode_photoset_graph, p, block, p.config.d_out, photos, counts)
 
 
 def encode_photoset(p: SetEncoderParams, photos, count: int) -> np.ndarray:
@@ -345,7 +363,7 @@ def encode_text(p: TextTowerParams, texts) -> np.ndarray:
         raise ShapeMismatch(f"texts must have {p.config.dims[0]} columns, got {texts.shape}")
     if not np.isfinite(texts).all():
         raise DegenerateInput("texts contain NaN or Inf")
-    out = _encode_text_graph(p, texts).value
+    out = _in_blocks(_encode_text_graph, p, TEXT_BLOCK, p.config.dims[-1], texts)
     return out[0] if single else out
 
 

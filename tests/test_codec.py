@@ -454,6 +454,20 @@ class TestPersistence:
         with pytest.raises(CorruptFile, match=f"is not one {kind}_train writes"):
             codec.load_codec(str(path))
 
+    @pytest.mark.parametrize("kind, dims, floats, trainer", [
+        ("pca", (2, 3), 2 + 3 * 2 + 3 * 3, "pca_codec_train"),  # input_dim, out_dim: out past input
+        ("pca", (2, 0), 2, "pca_codec_train"),  # out_dim 0
+        ("scalar", (0,), 0, "scalar_train"),  # dim 0
+        ("pq", (0, 1, 1, 0), 0, "pq_train"),  # dim, m, k, sub_dim: dim 0 with sub_dim ceil(0 / 1)
+    ])
+    def test_empty_or_oversized_header_dims_are_corrupt(self, kind, dims, floats, trainer, tmp_path):
+        # unit floats: finite, with scales above 0, so only the dims are wrong
+        path = tmp_path / f"{kind}.codec"
+        path.write_bytes(b"BLCODEC1" + bytes([list(codec.KINDS).index(kind)])
+                         + np.array(dims, "<u4").tobytes() + np.ones(floats, "<f4").tobytes())
+        with pytest.raises(CorruptFile, match=f"is not one {trainer} writes"):
+            codec.load_codec(str(path))
+
     @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
     def test_trailing_bytes_in_embedding_file_are_corrupt(self, dtype, tmp_path):
         path = tmp_path / "x.emb"

@@ -155,9 +155,11 @@ def test_eval_hit_equals_uncached(pipe, tmp_path, extra):
 
 
 def test_search_unknown_id_on_a_hit_exits_6(pipe, tmp_path):
-    hit, miss = _hit_and_miss("search", pipe["data"], pipe["run"], tmp_path, "--query-id", 999999)
-    assert hit[0] == miss[0] == 6 and hit == miss
-    assert hit[1] == "" and hit[2] == "search failed: no listing with id 999999\n"
+    for query in (999999, 2**63, -(2**63) - 1):  # the last two lie outside int64
+        hit, miss = _hit_and_miss("search", pipe["data"], pipe["run"], tmp_path / str(query),
+                                  "--query-id", query)
+        assert hit[0] == miss[0] == 6 and hit == miss
+        assert hit[1] == "" and hit[2] == f"search failed: no listing with id {query}\n"
 
 
 def test_checkpoint_that_does_not_fit_the_dataset_fails_before_the_id_lookup(pipe, tmp_path):
@@ -180,11 +182,19 @@ def test_repeated_id_resolves_to_its_last_row(pipe, tmp_path):
     index.write_text("\n".join(lines) + "\n")
     records = synth.load_dataset(str(data / "train")) + synth.load_dataset(str(data / "holdout"))
     gallery.write_beside(str(run / "checkpoint.blm"), str(data), records)
-    assert gallery.cached(str(run / "checkpoint.blm"), str(data)) is not None
+    g = gallery.cached(str(run / "checkpoint.blm"), str(data))
+    assert g is not None
     for modality in MODALITIES:
         hit, miss = _hit_and_miss("search", data, run, tmp_path / modality, "--query-id", first_id,
                                   "--modality", modality)
         assert hit[0] == 0 and hit == miss
+        scores = g.multimodal @ getattr(g, modality)[len(records) - 1]  # the id's last row
+        top = np.lexsort((g.ids, -scores))[:10]
+        assert hit[1] == "".join(f"{g.ids[i]} {scores[i]:.6f}\n" for i in top)
+    # an id the repeated rows do not hold is still unknown
+    hit, miss = _hit_and_miss("search", data, run, tmp_path / "unknown", "--query-id", 999999)
+    assert hit[0] == miss[0] == 6 and hit == miss
+    assert hit[2] == "search failed: no listing with id 999999\n"
 
 
 def test_multimodal_keeps_the_photo_row_where_photo_and_text_cancel():

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,59 @@ class TestRowStability:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "stable"
+
+
+def block_listings(p_max):
+    return max(1, model.BLOCK_SLOTS // p_max)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes numpy and Python allocate during fn(*args), above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestInferenceBlocks:
+    """The encoders run the towers a block of listings at a time, with the
+    bits of one unblocked graph over the whole input."""
+
+    @pytest.mark.parametrize("pool", ["last", "mean"])
+    @pytest.mark.parametrize("p_max", [3, 8])
+    def test_blocked_encode_matches_one_graph(self, pool, p_max):
+        cfg, ps, te = stability_towers(p_max, pool)
+        n = 2 * block_listings(p_max) + 3
+        counts = np.arange(n) % p_max + 1  # every count from 1 to p_max
+        photos, counts, _ = random_batch(cfg, n, seed=p_max, counts=counts)
+        np.testing.assert_array_equal(
+            model.encode_photoset_batch(ps, photos, counts),
+            model._encode_photoset_graph(ps, photos, counts).value,
+        )
+        texts = np.random.default_rng(p_max).normal(size=(2 * model.TEXT_BLOCK + 3, 5))
+        np.testing.assert_array_equal(
+            model.encode_text(te, texts), model._encode_text_graph(te, texts).value
+        )
+
+    def test_zero_listings_give_empty_rows(self):
+        cfg, ps, te = tiny_setup()
+        out = model.encode_photoset_batch(ps, np.zeros((0, cfg.p_max, cfg.d_in)), np.zeros(0, int))
+        assert out.shape == (0, cfg.d_out)
+        assert model.encode_text(te, np.zeros((0, 5))).shape == (0, te.config.dims[-1])
+
+    def test_peak_memory_grows_only_by_output_rows(self):
+        cfg, ps, _ = stability_towers(8, "last")
+        block = block_listings(cfg.p_max)
+        peaks = []
+        for n in (block, 8 * block):
+            # each block holds every count equally often, so every block has the same slot count
+            photos, counts, _ = random_batch(cfg, n, seed=1, counts=np.arange(n) % cfg.p_max + 1)
+            peaks.append(traced_peak(model.encode_photoset_batch, ps, photos, counts))
+        extra_rows = 7 * block * cfg.d_out * 8  # float64 output bytes
+        assert peaks[1] - peaks[0] <= extra_rows + 16 * 1024, peaks
 
 
 def dense_attention(x, mask, p, i):
