@@ -17,6 +17,16 @@ A parameter set is one ordered dict[str, Var]. train builds it once from the
 set encoder's tensors, the text tower's, then the loss scalars (named
 "loss.*"), and model.backward, init_adam_state and adam_step all take it, so
 gradients, moments and updates follow that one order.
+
+init_adam_state packs the set into one contiguous float64 arena and rebinds
+each Var.value to its view; Adam's moments are flat buffers with the same
+offsets, and model.backward's gradients are views of one flat buffer in that
+layout. So train accumulates gradients with one in-place add, and adam_step
+updates each run of consecutive trainable tensors in one pass of in-place
+arithmetic, skipping frozen ranges. IEEE arithmetic rounds each element the
+same way into a new array or an out= buffer, and the pass keeps the
+per-tensor formula's operation order, so the bits are those of one update
+per tensor.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from . import eval as evalmod
 from . import model as modelmod
 from ._fileio import write_csv, write_jsonl
 from .autodiff import Var
-from .errors import ConfigError, DegenerateInput, ShapeMismatch
+from .errors import ConfigError, DegenerateInput, DetachedParameter, ShapeMismatch
 from .synth import pack_photos, pack_texts
 
 __all__ = [
@@ -167,14 +177,44 @@ class AdamHyper:
 
 @dataclass
 class AdamState:
+    """Adam's moments over one parameter arena.
+
+    arena holds every tensor of a parameter set back to back in the set's
+    order, and each Var.value is a view of it. m_flat and v_flat are the
+    moments with the same offsets; m[name] and v[name] are their views, and
+    spans[name] is a tensor's (start, stop) in all three. work is the
+    update's scratch, two rows of the arena's length, kept so that a step
+    allocates nothing.
+    """
+
+    arena: np.ndarray
+    spans: dict[str, tuple[int, int]]
+    m_flat: np.ndarray
+    v_flat: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    work: np.ndarray
 
 
 def init_adam_state(params: dict[str, Var]) -> AdamState:
-    """Zero first and second moments for every tensor in params."""
-    return AdamState(m={name: np.zeros_like(var.value) for name, var in params.items()},
-                     v={name: np.zeros_like(var.value) for name, var in params.items()})
+    """Pack params into one arena, rebinding each Var.value to its view, and
+    start zero moments in the same layout. Values keep their bits."""
+    spans = {}
+    size = 0
+    for name, var in params.items():
+        spans[name] = (size, size + var.value.size)
+        size += var.value.size
+    arena, m_flat, v_flat = np.empty(size), np.zeros(size), np.zeros(size)
+    m, v = {}, {}
+    for name, var in params.items():
+        lo, hi = spans[name]
+        shape = var.value.shape
+        arena[lo:hi] = var.value.ravel()
+        var.value = arena[lo:hi].reshape(shape)
+        m[name] = m_flat[lo:hi].reshape(shape)
+        v[name] = v_flat[lo:hi].reshape(shape)
+    return AdamState(arena=arena, spans=spans, m_flat=m_flat, v_flat=v_flat, m=m, v=v,
+                     work=np.empty((2, size)))
 
 
 def learning_rate_at(step: int, base_lr: float, warmup_steps: int, horizon: int) -> float:
@@ -184,24 +224,71 @@ def learning_rate_at(step: int, base_lr: float, warmup_steps: int, horizon: int)
     return base_lr * warm * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
+def _trainable_runs(params: dict[str, Var], state: AdamState) -> list[list[int]]:
+    """[start, stop) arena ranges of consecutive trainable tensors, in order."""
+    runs: list[list[int]] = []
+    for name, var in params.items():
+        if not var.requires_grad:
+            continue
+        if var.value.base is not state.arena:
+            raise DetachedParameter(
+                f"{name}: its value was rebound after init_adam_state and is no longer a view "
+                "of the parameter arena, so an update would not reach it"
+            )
+        lo, hi = state.spans[name]
+        if runs and runs[-1][1] == lo:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi])
+    return runs
+
+
 def adam_step(params: dict[str, Var], grads, state: AdamState, hyper: AdamHyper,
               step_index: int, lr: float) -> None:
     """One Adam update with bias correction and decoupled weight decay.
 
-    Frozen tensors (requires_grad False) are skipped entirely: neither their
-    values nor their moments change.
+    grads is one flat buffer in the arena's layout (the buffer model.backward's
+    views share) or a name -> array dict. The update is one pass of in-place
+    arithmetic over each run of consecutive trainable tensors, in the order
+    of the per-tensor formula, so each element gets the same bits. Frozen
+    tensors (requires_grad False) are skipped entirely: neither their values
+    nor their moments change. A trainable tensor whose value is no longer an
+    arena view raises DetachedParameter.
     """
+    runs = _trainable_runs(params, state)
+    if isinstance(grads, dict):  # into the arena's layout; only trainable tensors are read
+        flat = np.zeros_like(state.arena)
+        for name, var in params.items():
+            if var.requires_grad:
+                lo, hi = state.spans[name]
+                flat[lo:hi] = np.ravel(grads[name])
+        grads = flat
     t = step_index + 1
     bc1 = 1.0 - hyper.beta1**t
     bc2 = 1.0 - hyper.beta2**t
-    for name, var in params.items():
-        if not var.requires_grad:
-            continue
-        g = grads[name]
-        m = state.m[name] = hyper.beta1 * state.m[name] + (1.0 - hyper.beta1) * g
-        v = state.v[name] = hyper.beta2 * state.v[name] + (1.0 - hyper.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
-        var.value = var.value - lr * (update + hyper.weight_decay * var.value)
+    for lo, hi in runs:
+        g, m, v, x = grads[lo:hi], state.m_flat[lo:hi], state.v_flat[lo:hi], state.arena[lo:hi]
+        tmp, update = state.work[0, lo:hi], state.work[1, lo:hi]
+        # m = beta1 * m + (1 - beta1) * g
+        m *= hyper.beta1
+        np.multiply(g, 1.0 - hyper.beta1, out=tmp)
+        m += tmp
+        # v = beta2 * v + (1 - beta2) * (g * g)
+        v *= hyper.beta2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - hyper.beta2
+        v += tmp
+        # update = (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=update)
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += hyper.eps
+        update /= tmp
+        # x = x - lr * (update + weight_decay * x)
+        np.multiply(x, hyper.weight_decay, out=tmp)
+        tmp += update
+        tmp *= lr
+        x -= tmp
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +432,18 @@ def train(
                 with tape:
                     loss = compute_loss(loss_params, logits)
                 grads = modelmod.backward(tape, loss, params)
+                flat = next(iter(grads.values())).base  # the one buffer the views share
                 losses.append(float(loss.value))
                 if acc_grads is None:
-                    acc_grads = grads
+                    acc_grads, acc = grads, flat
                 else:
-                    for name in acc_grads:
-                        acc_grads[name] = acc_grads[name] + grads[name]
+                    acc += flat
                 acc_count += 1
                 if acc_count == schedule.grad_accum or b == batches_per_epoch - 1:
                     if acc_count > 1:  # g / 1.0 == g bit for bit: skip that pass
-                        for name in acc_grads:
-                            acc_grads[name] = acc_grads[name] / acc_count
+                        acc /= acc_count
                     lr = learning_rate_at(step, stage.lr, schedule.warmup_steps, horizon)
-                    adam_step(params, acc_grads, state, schedule.adam, step, lr)
+                    adam_step(params, acc, state, schedule.adam, step, lr)
                     gnorm = float(
                         np.sqrt(sum(float(np.sum(g * g)) for g in acc_grads.values()))
                     )

@@ -17,7 +17,11 @@ linear (matmul plus an optional bias), layer_norm, softmax, log_softmax,
 logsumexp, and split_heads/merge_heads (attention's put-rows, reshape and
 transpose). Each fused forward replays the composite's numpy operations in the
 same order, so its value has the composite's bits; only the backward's
-summation order differs.
+summation order differs. The hot backward closures (GELU, softmax, layer
+norm) write into a few buffers in place, in the operation order of the
+expressions they replace, so they keep those expressions' bits: IEEE
+arithmetic rounds an element the same way into a new array or an out=
+buffer.
 
 Row stability: matmul gives a row the same bits alone or inside any batch.
 With a 2-D right operand (every weight, and the logit product) matmul is a
@@ -28,6 +32,8 @@ thread count but not batch invariant.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -177,11 +183,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # arithmetic
 # ---------------------------------------------------------------------------
 
+# The binary ops, like linear and matmul, skip the gradient of an operand that
+# needs none: backward would drop it, and a constant such as the attention mask
+# would cost a full reduction per step.
+
 def add(a, b) -> Var:
     a, b = _lift(a), _lift(b)
 
     def grad_fn(g):
-        return ((a, _unbroadcast(g, a.value.shape)), (b, _unbroadcast(g, b.value.shape)))
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g, a.value.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(g, b.value.shape)))
+        return grads
 
     return _make(a.value + b.value, (a, b), grad_fn)
 
@@ -190,7 +205,12 @@ def sub(a, b) -> Var:
     a, b = _lift(a), _lift(b)
 
     def grad_fn(g):
-        return ((a, _unbroadcast(g, a.value.shape)), (b, _unbroadcast(-g, b.value.shape)))
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g, a.value.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(-g, b.value.shape)))
+        return grads
 
     return _make(a.value - b.value, (a, b), grad_fn)
 
@@ -199,10 +219,12 @@ def mul(a, b) -> Var:
     a, b = _lift(a), _lift(b)
 
     def grad_fn(g):
-        return (
-            (a, _unbroadcast(g * b.value, a.value.shape)),
-            (b, _unbroadcast(g * a.value, b.value.shape)),
-        )
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g * b.value, a.value.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(g * a.value, b.value.shape)))
+        return grads
 
     return _make(a.value * b.value, (a, b), grad_fn)
 
@@ -211,10 +233,12 @@ def div(a, b) -> Var:
     a, b = _lift(a), _lift(b)
 
     def grad_fn(g):
-        return (
-            (a, _unbroadcast(g / b.value, a.value.shape)),
-            (b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)),
-        )
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g / b.value, a.value.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)))
+        return grads
 
     return _make(a.value / b.value, (a, b), grad_fn)
 
@@ -348,9 +372,23 @@ def gelu(a) -> Var:
     out_val *= 1.0 + t
 
     def grad_fn(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        return ((a, g * d),)
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3 * 0.044715 * x * x))
+        # in three buffers, each product and sum in that order (IEEE + and *
+        # commute, so operand order within one operation cannot change a bit)
+        d_inner = (3.0 * 0.044715) * x
+        d_inner *= x
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        tail = 0.5 * x
+        tail *= d
+        tail *= d_inner
+        np.add(t, 1.0, out=d)
+        d *= 0.5
+        d += tail
+        d *= g
+        return ((a, d),)
 
     return _make(out_val, (a,), grad_fn)
 
@@ -428,7 +466,16 @@ def getitem(a, key) -> Var:
     a = _lift(a)
 
     def grad_fn(g):
-        full = np.zeros_like(a.value)
+        shape = a.value.shape
+        if isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu":
+            # rows gathered by an index array (the encoder's gathers): np.add.at's
+            # sums, each from 0.0 in index order, from bincount, which adds in
+            # that order too at a fraction of the cost
+            width = math.prod(shape[1:])
+            flat = ((key % shape[0])[:, None] * width + np.arange(width)).ravel()
+            full = np.bincount(flat, weights=g.ravel(), minlength=a.value.size)
+            return ((a, full.reshape(shape)),)
+        full = np.zeros(shape)
         np.add.at(full, key, g)
         return ((a, full),)
 
@@ -455,8 +502,13 @@ def put_rows(a, rows, shape) -> Var:
 
 def _logsumexp_value(v: np.ndarray, axis) -> np.ndarray:
     """log(sum(exp(v - m))) + m with keepdims, for the row max m (0 where a
-    row is all -inf), in the composite's operation order."""
-    m = np.max(v, axis=axis, keepdims=True)
+    row is all -inf), in the composite's operation order. The max runs on a
+    contiguous copy with axis moved to the front, where it is an elementwise
+    maximum over slices rather than a reduction along a short axis (the
+    attention's 8 slots); a max is exact in any order."""
+    axis %= v.ndim
+    front = np.ascontiguousarray(v.transpose((axis, *range(axis), *range(axis + 1, v.ndim))))
+    m = np.maximum.reduce(front, axis=0).reshape(v.shape[:axis] + (1,) + v.shape[axis + 1:])
     m = np.where(np.isfinite(m), m, 0.0)
     z = v - m
     np.exp(z, out=z)
@@ -496,31 +548,43 @@ def softmax(a, axis) -> Var:
     np.exp(out_val, out=out_val)
 
     def grad_fn(g):
-        return ((a, out_val * (g - (g * out_val).sum(axis=axis, keepdims=True))),)
+        d = g * out_val
+        np.subtract(g, d.sum(axis=axis, keepdims=True), out=d)
+        d *= out_val
+        return ((a, d),)
 
     return _make(out_val, (a,), grad_fn)
+
+
+def _mean_last(v: np.ndarray) -> np.ndarray:
+    """v.mean(axis=-1, keepdims=True) as np.mean computes it, one sum and one
+    division, so with its bits, without its Python wrapper."""
+    s = np.add.reduce(v, axis=-1, keepdims=True)
+    s /= v.shape[-1]
+    return s
 
 
 def layer_norm(x, g, b, eps: float) -> Var:
     """(x - mean) / sqrt(var + eps) * g + b over the last axis, as one node."""
     x, g, b = _lift(x), _lift(g), _lift(b)
-    xc = x.value - x.value.mean(axis=-1, keepdims=True)
-    std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    xhat = xc / std
+    xhat = x.value - _mean_last(x.value)  # centred, then scaled in place
+    std = np.sqrt(_mean_last(xhat * xhat) + eps)
+    xhat /= std
     out_val = xhat * g.value
     out_val += b.value
 
     def grad_fn(gy):
         grads = []
+        t = np.empty_like(xhat)  # scratch for the products with xhat
         if x.requires_grad:
             d = gy * g.value
-            proj = (d * xhat).mean(axis=-1, keepdims=True)
-            d -= d.mean(axis=-1, keepdims=True)
-            d -= xhat * proj
+            proj = _mean_last(np.multiply(d, xhat, out=t))
+            d -= _mean_last(d)
+            d -= np.multiply(xhat, proj, out=t)
             d /= std
             grads.append((x, d))
         if g.requires_grad:
-            grads.append((g, _unbroadcast(gy * xhat, g.value.shape)))
+            grads.append((g, _unbroadcast(np.multiply(gy, xhat, out=t), g.value.shape)))
         if b.requires_grad:
             grads.append((b, _unbroadcast(gy, b.value.shape)))
         return grads
@@ -539,7 +603,8 @@ def split_heads(a, rows, shape, axes=(0, 2, 1, 3)) -> Var:
     inverse = np.argsort(axes)
 
     def grad_fn(g):
-        return ((a, np.transpose(g, inverse).reshape(-1, d)[rows]),)
+        # the rows gathered straight from the (B, P, H, dh) view: one copy
+        return ((a, np.transpose(g, inverse)[np.divmod(rows, shape[1])].reshape(-1, d)),)
 
     return _make(np.transpose(padded.reshape(shape), axes), (a,), grad_fn)
 
@@ -555,8 +620,8 @@ def merge_heads(a, rows) -> Var:
         full[rows] = g
         return ((a, np.transpose(full.reshape(B, P, H, dh), (0, 2, 1, 3))),)
 
-    merged = np.transpose(a.value, (0, 2, 1, 3)).reshape(B * P, H * dh)
-    return _make(merged[rows], (a,), grad_fn)
+    merged = np.transpose(a.value, (0, 2, 1, 3))[np.divmod(rows, P)].reshape(-1, H * dh)
+    return _make(merged, (a,), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ class StaleTape(ListalignError):
     """A gradient tape was used for a second backward pass."""
 
 
+class DetachedParameter(ListalignError):
+    """A trainable tensor's value is no longer a view of its optimizer's parameter arena."""
+
+
 class ConfigError(ListalignError):
     """Configuration is malformed or internally inconsistent."""
 

@@ -18,13 +18,15 @@ Layer statistics are always per example, and padded photo rows cannot
 influence real positions, so encoding a listing alone or inside any batch is
 bit-identical. That is why encode_photoset_batch and encode_text may run the
 towers over consecutive blocks of listings (up to BLOCK_SLOTS padded photo
-slots each) and keep memory bounded at any dataset size: the block size
-changes no bit of the output.
+slots each, and for text as many rows as keep the widest layer within
+BLOCK_FLOATS floats) and keep memory bounded at any dataset size: the block
+size changes no bit of the output.
 
 Each tower keeps its trainable tensors in ``tensors``, a name -> Var dict in
 layout order. A parameter set is one such dict[str, Var] (align.train merges
 both towers' and the loss scalars'); backward takes one and returns its
-gradients under the same names, in the same order.
+gradients under the same names and in the same order, as views of one flat
+buffer laid out like align's parameter arena.
 
 Checkpoint format: magic "BLMODEL1", u32 header length, canonical-JSON header
 (architecture, freeze flags, parameter manifest), float32 payload in manifest
@@ -67,10 +69,12 @@ LN_EPS = 1e-5
 NORM_GUARD = 1e-12
 INIT_STD = 0.02
 POS_INIT_STD = 0.1
-# Inference blocks: a photo block holds max(1, BLOCK_SLOTS // p_max) listings,
-# a text block as many as a photo block at the default p_max of 8.
+# Inference blocks: a photo block holds max(1, BLOCK_SLOTS // p_max) listings.
+# A text block holds max(1, BLOCK_FLOATS // widest text dim) rows, so its widest
+# temporary fits the budget of a photo block's widest one, the FFN hidden of
+# BLOCK_SLOTS slots at 4 x the default d_model of 64.
 BLOCK_SLOTS = 512
-TEXT_BLOCK = BLOCK_SLOTS // 8
+BLOCK_FLOATS = BLOCK_SLOTS * 4 * 64
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +367,8 @@ def encode_text(p: TextTowerParams, texts) -> np.ndarray:
         raise ShapeMismatch(f"texts must have {p.config.dims[0]} columns, got {texts.shape}")
     if not np.isfinite(texts).all():
         raise DegenerateInput("texts contain NaN or Inf")
-    out = _in_blocks(_encode_text_graph, p, TEXT_BLOCK, p.config.dims[-1], texts)
+    block = max(1, BLOCK_FLOATS // max(p.config.dims))
+    out = _in_blocks(_encode_text_graph, p, block, p.config.dims[-1], texts)
     return out[0] if single else out
 
 
@@ -393,11 +398,21 @@ def forward_batch(ps: SetEncoderParams, te: TextTowerParams, photos, counts, tex
 def backward(tape: Tape, loss: Var, params: dict[str, Var]) -> dict[str, np.ndarray]:
     """Gradients for every tensor in params, keyed and ordered as params.
 
-    Frozen or unreached tensors get exact zeros. Consumes the tape.
+    The gradients are views, shaped as their tensors, into one flat float64
+    buffer (each view's ``base``) that holds them back to back in params'
+    order: the layout of align's parameter arena. Frozen or unreached tensors
+    get exact zeros. Consumes the tape.
     """
     raw = ad.backward(tape, loss)
-    return {name: raw[id(var)] if id(var) in raw else np.zeros_like(var.value)
-            for name, var in params.items()}
+    flat = np.zeros(sum(var.value.size for var in params.values()))
+    grads = {}
+    lo = 0
+    for name, var in params.items():
+        grads[name] = g = flat[lo : lo + var.value.size].reshape(var.value.shape)
+        if id(var) in raw:
+            g[...] = raw[id(var)]
+        lo += var.value.size
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from listalign import align, autodiff as ad, eval as evalmod, model, synth
-from listalign.errors import ConfigError, DegenerateInput, ShapeMismatch
+from listalign.errors import ConfigError, DegenerateInput, DetachedParameter, ShapeMismatch
 
 from gradcheck import per_tensor_fd_errors
 
@@ -151,6 +151,73 @@ def test_decoupled_weight_decay_acts_without_gradient():
     hyper = align.AdamHyper(weight_decay=0.1)
     align.adam_step(params, {"w": np.zeros(1)}, state, hyper, 0, lr=0.5)
     np.testing.assert_allclose(var.value, np.array([4.0 - 0.5 * 0.1 * 4.0]))
+
+
+def _reference_adam(values, grads, m, v, hyper, t, lr):
+    """The per-tensor update as adam_step wrote it before the arena: new arrays."""
+    bc1 = 1.0 - hyper.beta1**t
+    bc2 = 1.0 - hyper.beta2**t
+    m = hyper.beta1 * m + (1.0 - hyper.beta1) * grads
+    v = hyper.beta2 * v + (1.0 - hyper.beta2) * (grads * grads)
+    update = (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
+    return values - lr * (update + hyper.weight_decay * values), m, v
+
+
+def _arena_params(rng):
+    """A live matrix, a frozen vector, a live 0-d scalar, in that order."""
+    params = {"a": ad.param(rng.normal(size=(3, 4))), "frozen": ad.param(rng.normal(size=5)),
+              "s": ad.param(np.float64(rng.normal()))}
+    params["frozen"].requires_grad = False
+    return params
+
+
+def test_init_adam_state_packs_values_into_one_arena():
+    params = _arena_params(np.random.default_rng(0))
+    before = {name: var.value.copy() for name, var in params.items()}
+    state = align.init_adam_state(params)
+    assert state.arena.shape == (18,)
+    for name, var in params.items():
+        assert var.value.base is state.arena and var.value.shape == before[name].shape
+        assert var.value.tobytes() == before[name].tobytes()
+        assert state.m[name].base is state.m_flat and state.v[name].base is state.v_flat
+    assert state.spans == {"a": (0, 12), "frozen": (12, 17), "s": (17, 18)}
+
+
+@pytest.mark.parametrize("as_dict", [False, True], ids=["flat", "dict"])
+def test_flat_adam_matches_the_per_tensor_formula_bitwise(as_dict):
+    rng = np.random.default_rng(1)
+    params = _arena_params(rng)
+    hyper = align.AdamHyper(beta1=0.8, beta2=0.95, eps=1e-7, weight_decay=0.03)
+    ref = {name: [var.value.copy(), np.zeros_like(var.value), np.zeros_like(var.value)]
+           for name, var in params.items()}
+    frozen_before = params["frozen"].value.copy()
+    state = align.init_adam_state(params)
+    for step in range(4):
+        size = state.arena.size
+        flat = rng.normal(size=size) * 10.0 ** rng.integers(-6, 3, size=size)
+        grads = {name: flat[lo:hi].reshape(params[name].value.shape)
+                 for name, (lo, hi) in state.spans.items()}
+        lr = 0.01 * (step + 1)
+        align.adam_step(params, grads if as_dict else flat, state, hyper, step, lr)
+        for name in ("a", "s"):
+            values, m, v = ref[name]
+            ref[name] = _reference_adam(values, grads[name], m, v, hyper, step + 1, lr)
+    for name in ("a", "s"):
+        for got, want in zip((params[name].value, state.m[name], state.v[name]), ref[name]):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    assert params["frozen"].value.tobytes() == frozen_before.tobytes()
+    assert not state.m["frozen"].any() and not state.v["frozen"].any()
+
+
+def test_adam_rejects_a_value_rebound_after_init():
+    params = _arena_params(np.random.default_rng(2))
+    state = align.init_adam_state(params)
+    params["a"].value = params["a"].value.copy()  # a detached copy would train alone
+    with pytest.raises(DetachedParameter, match="a:"):
+        align.adam_step(params, np.ones(state.arena.size), state, align.AdamHyper(), 0, lr=0.1)
+    params["frozen"].value = params["frozen"].value.copy()  # frozen tensors are not updated
+    params["a"].value = state.arena[0:12].reshape(3, 4)
+    align.adam_step(params, np.ones(state.arena.size), state, align.AdamHyper(), 0, lr=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,24 @@ class TestFusedOps:
 
         check_grad(build, operands[live])
 
+    def test_layer_norm_backward_is_the_closed_form_expression(self):
+        rng = np.random.default_rng(34)
+        x, g, b = rng.normal(size=(9, 6)) * 4, rng.normal(size=(6,)), rng.normal(size=(6,))
+        gy = rng.normal(size=(9, 6))
+        with ad.Tape():
+            out = ad.layer_norm(ad.param(x), ad.param(g), ad.param(b), 1e-5)
+        got = [grad for _, grad in out._grad_fn(gy)]
+        xc = x - x.mean(axis=-1, keepdims=True)
+        std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc / std
+        d = gy * g
+        proj = (d * xhat).mean(axis=-1, keepdims=True)
+        d -= d.mean(axis=-1, keepdims=True)
+        d -= xhat * proj
+        d /= std
+        want = [d, (gy * xhat).sum(axis=0), gy.sum(axis=0)]
+        assert [a.tobytes() for a in got] == [w.tobytes() for w in want]
+
     def test_softmax_family_values_are_the_composites(self):
         x, mask = masked_scores(np.random.default_rng(24))
         a = ad.constant(x + mask)
@@ -349,6 +367,79 @@ class TestFusedOps:
         c = np.sqrt(2.0 / np.pi)
         np.testing.assert_array_equal(
             ad.gelu(x).value, 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x))))
+
+    def test_gelu_backward_is_the_derivative_expression(self):
+        rng = np.random.default_rng(29)
+        extremes = [-1e5, -40.0, -8.0, -0.0, 0.0, 8.0, 40.0, 1e5]
+        x = np.concatenate([rng.normal(size=30) * 3, extremes])
+        g = rng.normal(size=x.shape)
+        with ad.Tape():
+            out = ad.gelu(ad.param(x))
+        ((_, got),) = out._grad_fn(g)
+        c = np.sqrt(2.0 / np.pi)
+        t = np.tanh(c * (x + 0.044715 * x * x * x))
+        d_inner = c * (1.0 + 3.0 * 0.044715 * x * x)
+        want = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
+        assert got.tobytes() == want.tobytes()
+
+    def test_softmax_backward_is_the_composite_expression(self):
+        rng = np.random.default_rng(30)
+        x0, mask = masked_scores(rng)
+        for axis in (0, 1):
+            with ad.Tape():
+                out = ad.softmax(ad.param(x0 + mask), axis)
+            g = rng.normal(size=x0.shape)
+            ((_, got),) = out._grad_fn(g)
+            s = out.value
+            assert got.tobytes() == (s * (g - (g * s).sum(axis=axis, keepdims=True))).tobytes()
+
+    def test_row_max_with_partly_and_fully_masked_rows(self):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(5, 4, 8, 8)) * 3
+        x[..., 6:] = -np.inf
+        x[1, 2] = -np.inf  # eight rows with no finite entry
+        x[3, :, 4, :] = -np.inf
+        with np.errstate(divide="ignore"):
+            for axis in (-1, 0, 2):
+                got = ad.logsumexp(x, axis, keepdims=True).value
+                want = composite_logsumexp(ad.constant(x), axis).value
+                assert np.isneginf(got).any()
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(6, 3, 4), (6,), (0, 2)])
+    def test_row_gather_backward_is_add_at(self, shape):
+        rng = np.random.default_rng(33)
+        rows = rng.integers(-shape[0], shape[0], size=40) if shape[0] else np.zeros(0, int)
+        g_shape = (rows.size,) + shape[1:]
+        g = rng.normal(size=g_shape) * 10.0 ** rng.integers(-8, 8, size=g_shape)
+        with ad.Tape():
+            out = ad.getitem(ad.param(rng.normal(size=shape)), rows)
+        ((_, got),) = out._grad_fn(g)
+        want = np.zeros(shape)
+        np.add.at(want, rows, g)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_binary_op_constant_operand_gets_no_gradient(self, op):
+        rng = np.random.default_rng(32)
+        x, c = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 1, 4)) + 3.0
+        g = rng.normal(size=(3, 2, 4))
+        # each operand's gradient as the ops computed both before the skip
+        expected = {
+            "add": lambda a, b: (g, g),
+            "sub": lambda a, b: (g, -g),
+            "mul": lambda a, b: (g * b, g * a),
+            "div": lambda a, b: (g / b, -g * a / (b * b)),
+        }[op]
+        for live_side in (0, 1):
+            operands = [ad.constant(c), ad.constant(c)]
+            operands[live_side] = live = ad.param(x)
+            with ad.Tape():
+                out = getattr(ad, op)(*operands)
+            pairs = out._grad_fn(g)
+            assert [p is live for p, _ in pairs] == [True]
+            want = expected(*(v.value for v in operands))[live_side]
+            assert pairs[0][1].tobytes() == want.tobytes()
 
 
 class TestTapeLifecycle:

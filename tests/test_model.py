@@ -221,6 +221,10 @@ def block_listings(p_max):
     return max(1, model.BLOCK_SLOTS // p_max)
 
 
+def text_block_rows(te):
+    return max(1, model.BLOCK_FLOATS // max(te.config.dims))
+
+
 def traced_peak(fn, *args):
     """Peak bytes numpy and Python allocate during fn(*args), above what was live before."""
     tracemalloc.start()
@@ -247,10 +251,22 @@ class TestInferenceBlocks:
             model.encode_photoset_batch(ps, photos, counts),
             model._encode_photoset_graph(ps, photos, counts).value,
         )
-        texts = np.random.default_rng(p_max).normal(size=(2 * model.TEXT_BLOCK + 3, 5))
+        texts = np.random.default_rng(p_max).normal(size=(2 * text_block_rows(te) + 3, 5))
         np.testing.assert_array_equal(
             model.encode_text(te, texts), model._encode_text_graph(te, texts).value
         )
+
+    @pytest.mark.parametrize("hidden", [8, 1024])
+    def test_blocked_text_encode_matches_one_graph(self, hidden):
+        te = model.init_text_tower(model.TextTowerConfig(dims=(5, hidden, 8)), seed=3)
+        texts = np.random.default_rng(hidden).normal(size=(2 * text_block_rows(te) + 3, 5))
+        np.testing.assert_array_equal(
+            model.encode_text(te, texts), model._encode_text_graph(te, texts).value
+        )
+
+    def test_default_text_tower_encodes_the_default_dataset_in_one_block(self):
+        te = model.init_text_tower(PipelineConfig().text_tower_config())
+        assert text_block_rows(te) >= PipelineConfig().generator.n_listings
 
     def test_zero_listings_give_empty_rows(self):
         cfg, ps, te = tiny_setup()
@@ -267,6 +283,14 @@ class TestInferenceBlocks:
             photos, counts, _ = random_batch(cfg, n, seed=1, counts=np.arange(n) % cfg.p_max + 1)
             peaks.append(traced_peak(model.encode_photoset_batch, ps, photos, counts))
         extra_rows = 7 * block * cfg.d_out * 8  # float64 output bytes
+        assert peaks[1] - peaks[0] <= extra_rows + 16 * 1024, peaks
+
+    def test_text_peak_memory_grows_only_by_output_rows(self):
+        te = model.init_text_tower(model.TextTowerConfig(dims=(5, 1024, 8)), seed=3)
+        block = text_block_rows(te)
+        peaks = [traced_peak(model.encode_text, te, np.random.default_rng(1).normal(size=(n, 5)))
+                 for n in (block, 8 * block)]
+        extra_rows = 7 * block * te.config.dims[-1] * 8  # float64 output bytes
         assert peaks[1] - peaks[0] <= extra_rows + 16 * 1024, peaks
 
 
