@@ -19,14 +19,13 @@ set encoder's tensors, the text tower's, then the loss scalars (named
 gradients, moments and updates follow that one order.
 
 init_adam_state packs the set into one contiguous float64 arena and rebinds
-each Var.value to its view; Adam's moments are flat buffers with the same
-offsets, and model.backward's gradients are views of one flat buffer in that
-layout. So train accumulates gradients with one in-place add, and adam_step
-updates each run of consecutive trainable tensors in one pass of in-place
-arithmetic, skipping frozen ranges. IEEE arithmetic rounds each element the
-same way into a new array or an out= buffer, and the pass keeps the
-per-tensor formula's operation order, so the bits are those of one update
-per tensor.
+each Var.value to its view; Adam's moments and a gradient buffer are flat
+arrays with the same offsets, so the state alone owns the layout. adam_step
+copies model.backward's gradients into that buffer and updates each run of
+consecutive trainable tensors in one pass of in-place arithmetic, skipping
+frozen ranges. IEEE arithmetic rounds each element the same way into a new
+array or an out= buffer, and the pass keeps the per-tensor formula's
+operation order, so the bits are those of one update per tensor.
 """
 
 from __future__ import annotations
@@ -182,9 +181,10 @@ class AdamState:
     arena holds every tensor of a parameter set back to back in the set's
     order, and each Var.value is a view of it. m_flat and v_flat are the
     moments with the same offsets; m[name] and v[name] are their views, and
-    spans[name] is a tensor's (start, stop) in all three. work is the
-    update's scratch, two rows of the arena's length, kept so that a step
-    allocates nothing.
+    spans[name] is a tensor's (start, stop) in all three. work holds two
+    rows of the arena's length, kept so that a step allocates nothing: the
+    gradients in the same layout, which the update then overwrites, and a
+    scratch row.
     """
 
     arena: np.ndarray
@@ -224,8 +224,10 @@ def learning_rate_at(step: int, base_lr: float, warmup_steps: int, horizon: int)
     return base_lr * warm * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def _trainable_runs(params: dict[str, Var], state: AdamState) -> list[list[int]]:
-    """[start, stop) arena ranges of consecutive trainable tensors, in order."""
+def _gather_gradients(params: dict[str, Var], grads: dict[str, np.ndarray],
+                      state: AdamState) -> list[list[int]]:
+    """Copy each trainable tensor's gradient to its span of state.work[0] and
+    return the [start, stop) ranges of consecutive trainable tensors, in order."""
     runs: list[list[int]] = []
     for name, var in params.items():
         if not var.requires_grad:
@@ -235,7 +237,12 @@ def _trainable_runs(params: dict[str, Var], state: AdamState) -> list[list[int]]
                 f"{name}: its value was rebound after init_adam_state and is no longer a view "
                 "of the parameter arena, so an update would not reach it"
             )
+        g = grads[name]
+        if np.shape(g) != var.value.shape:
+            raise ShapeMismatch(f"{name}: gradient shape {np.shape(g)} is not the tensor's "
+                                f"{var.value.shape}")
         lo, hi = state.spans[name]
+        state.work[0, lo:hi].reshape(var.value.shape)[...] = g
         if runs and runs[-1][1] == lo:
             runs[-1][1] = hi
         else:
@@ -243,32 +250,25 @@ def _trainable_runs(params: dict[str, Var], state: AdamState) -> list[list[int]]
     return runs
 
 
-def adam_step(params: dict[str, Var], grads, state: AdamState, hyper: AdamHyper,
-              step_index: int, lr: float) -> None:
+def adam_step(params: dict[str, Var], grads: dict[str, np.ndarray], state: AdamState,
+              hyper: AdamHyper, step_index: int, lr: float) -> None:
     """One Adam update with bias correction and decoupled weight decay.
 
-    grads is one flat buffer in the arena's layout (the buffer model.backward's
-    views share) or a name -> array dict. The update is one pass of in-place
-    arithmetic over each run of consecutive trainable tensors, in the order
-    of the per-tensor formula, so each element gets the same bits. Frozen
-    tensors (requires_grad False) are skipped entirely: neither their values
-    nor their moments change. A trainable tensor whose value is no longer an
-    arena view raises DetachedParameter.
+    The trainable tensors' gradients are copied into the arena's layout, and
+    the update is one pass of in-place arithmetic over each run of
+    consecutive trainable tensors, in the order of the per-tensor formula, so
+    each element gets the same bits. Frozen tensors (requires_grad False) are
+    skipped entirely: neither their values nor their moments change. A
+    trainable tensor whose value is no longer an arena view raises
+    DetachedParameter, and a gradient not shaped as its tensor ShapeMismatch.
     """
-    runs = _trainable_runs(params, state)
-    if isinstance(grads, dict):  # into the arena's layout; only trainable tensors are read
-        flat = np.zeros_like(state.arena)
-        for name, var in params.items():
-            if var.requires_grad:
-                lo, hi = state.spans[name]
-                flat[lo:hi] = np.ravel(grads[name])
-        grads = flat
+    runs = _gather_gradients(params, grads, state)
     t = step_index + 1
     bc1 = 1.0 - hyper.beta1**t
     bc2 = 1.0 - hyper.beta2**t
     for lo, hi in runs:
-        g, m, v, x = grads[lo:hi], state.m_flat[lo:hi], state.v_flat[lo:hi], state.arena[lo:hi]
-        tmp, update = state.work[0, lo:hi], state.work[1, lo:hi]
+        g, tmp = state.work[:, lo:hi]
+        m, v, x = state.m_flat[lo:hi], state.v_flat[lo:hi], state.arena[lo:hi]
         # m = beta1 * m + (1 - beta1) * g
         m *= hyper.beta1
         np.multiply(g, 1.0 - hyper.beta1, out=tmp)
@@ -278,8 +278,8 @@ def adam_step(params: dict[str, Var], grads, state: AdamState, hyper: AdamHyper,
         np.multiply(g, g, out=tmp)
         tmp *= 1.0 - hyper.beta2
         v += tmp
-        # update = (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(m, bc1, out=update)
+        # update = (m / bc1) / (sqrt(v / bc2) + eps), in g's row
+        update = np.divide(m, bc1, out=g)
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += hyper.eps
@@ -432,18 +432,19 @@ def train(
                 with tape:
                     loss = compute_loss(loss_params, logits)
                 grads = modelmod.backward(tape, loss, params)
-                flat = next(iter(grads.values())).base  # the one buffer the views share
                 losses.append(float(loss.value))
                 if acc_grads is None:
-                    acc_grads, acc = grads, flat
+                    acc_grads = grads
                 else:
-                    acc += flat
+                    for name in acc_grads:
+                        acc_grads[name] = acc_grads[name] + grads[name]
                 acc_count += 1
                 if acc_count == schedule.grad_accum or b == batches_per_epoch - 1:
                     if acc_count > 1:  # g / 1.0 == g bit for bit: skip that pass
-                        acc /= acc_count
+                        for name in acc_grads:
+                            acc_grads[name] = acc_grads[name] / acc_count
                     lr = learning_rate_at(step, stage.lr, schedule.warmup_steps, horizon)
-                    adam_step(params, acc, state, schedule.adam, step, lr)
+                    adam_step(params, acc_grads, state, schedule.adam, step, lr)
                     gnorm = float(
                         np.sqrt(sum(float(np.sum(g * g)) for g in acc_grads.values()))
                     )

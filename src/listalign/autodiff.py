@@ -17,11 +17,10 @@ linear (matmul plus an optional bias), layer_norm, softmax, log_softmax,
 logsumexp, and split_heads/merge_heads (attention's put-rows, reshape and
 transpose). Each fused forward replays the composite's numpy operations in the
 same order, so its value has the composite's bits; only the backward's
-summation order differs. The hot backward closures (GELU, softmax, layer
-norm) write into a few buffers in place, in the operation order of the
-expressions they replace, so they keep those expressions' bits: IEEE
-arithmetic rounds an element the same way into a new array or an out=
-buffer.
+summation order differs. The hot backward closures (GELU, softmax) write
+into a few buffers in place, in the operation order of the expressions they
+replace, so they keep those expressions' bits: IEEE arithmetic rounds an
+element the same way into a new array or an out= buffer.
 
 Row stability: matmul gives a row the same bits alone or inside any batch.
 With a 2-D right operand (every weight, and the logit product) matmul is a
@@ -32,8 +31,6 @@ thread count but not batch invariant.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -466,18 +463,12 @@ def getitem(a, key) -> Var:
     a = _lift(a)
 
     def grad_fn(g):
-        shape = a.value.shape
-        if isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu":
-            # rows gathered by an index array (the encoder's gathers): np.add.at's
-            # sums, each from 0.0 in index order, from bincount, which adds in
-            # that order too at a fraction of the cost
-            width = math.prod(shape[1:])
-            flat = ((key % shape[0])[:, None] * width + np.arange(width)).ravel()
-            full = np.bincount(flat, weights=g.ravel(), minlength=a.value.size)
-            return ((a, full.reshape(shape)),)
-        full = np.zeros(shape)
-        np.add.at(full, key, g)
-        return ((a, full),)
+        # np.add.at's sums, each from 0.0 in index order, from bincount over
+        # the flat indices the key selects, which adds in that order too at a
+        # fraction of the cost
+        flat = np.arange(a.value.size).reshape(a.value.shape)[key]
+        full = np.bincount(np.ravel(flat), weights=np.ravel(g), minlength=a.value.size)
+        return ((a, full.reshape(a.value.shape)),)
 
     return _make(a.value[key], (a,), grad_fn)
 
@@ -556,35 +547,26 @@ def softmax(a, axis) -> Var:
     return _make(out_val, (a,), grad_fn)
 
 
-def _mean_last(v: np.ndarray) -> np.ndarray:
-    """v.mean(axis=-1, keepdims=True) as np.mean computes it, one sum and one
-    division, so with its bits, without its Python wrapper."""
-    s = np.add.reduce(v, axis=-1, keepdims=True)
-    s /= v.shape[-1]
-    return s
-
-
 def layer_norm(x, g, b, eps: float) -> Var:
     """(x - mean) / sqrt(var + eps) * g + b over the last axis, as one node."""
     x, g, b = _lift(x), _lift(g), _lift(b)
-    xhat = x.value - _mean_last(x.value)  # centred, then scaled in place
-    std = np.sqrt(_mean_last(xhat * xhat) + eps)
-    xhat /= std
+    xc = x.value - x.value.mean(axis=-1, keepdims=True)
+    std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc / std
     out_val = xhat * g.value
     out_val += b.value
 
     def grad_fn(gy):
         grads = []
-        t = np.empty_like(xhat)  # scratch for the products with xhat
         if x.requires_grad:
             d = gy * g.value
-            proj = _mean_last(np.multiply(d, xhat, out=t))
-            d -= _mean_last(d)
-            d -= np.multiply(xhat, proj, out=t)
+            proj = (d * xhat).mean(axis=-1, keepdims=True)
+            d -= d.mean(axis=-1, keepdims=True)
+            d -= xhat * proj
             d /= std
             grads.append((x, d))
         if g.requires_grad:
-            grads.append((g, _unbroadcast(np.multiply(gy, xhat, out=t), g.value.shape)))
+            grads.append((g, _unbroadcast(gy * xhat, g.value.shape)))
         if b.requires_grad:
             grads.append((b, _unbroadcast(gy, b.value.shape)))
         return grads
@@ -603,8 +585,7 @@ def split_heads(a, rows, shape, axes=(0, 2, 1, 3)) -> Var:
     inverse = np.argsort(axes)
 
     def grad_fn(g):
-        # the rows gathered straight from the (B, P, H, dh) view: one copy
-        return ((a, np.transpose(g, inverse)[np.divmod(rows, shape[1])].reshape(-1, d)),)
+        return ((a, np.transpose(g, inverse).reshape(-1, d)[rows]),)
 
     return _make(np.transpose(padded.reshape(shape), axes), (a,), grad_fn)
 
@@ -620,8 +601,8 @@ def merge_heads(a, rows) -> Var:
         full[rows] = g
         return ((a, np.transpose(full.reshape(B, P, H, dh), (0, 2, 1, 3))),)
 
-    merged = np.transpose(a.value, (0, 2, 1, 3))[np.divmod(rows, P)].reshape(-1, H * dh)
-    return _make(merged, (a,), grad_fn)
+    merged = np.transpose(a.value, (0, 2, 1, 3)).reshape(B * P, H * dh)
+    return _make(merged[rows], (a,), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ size changes no bit of the output.
 Each tower keeps its trainable tensors in ``tensors``, a name -> Var dict in
 layout order. A parameter set is one such dict[str, Var] (align.train merges
 both towers' and the loss scalars'); backward takes one and returns its
-gradients under the same names and in the same order, as views of one flat
-buffer laid out like align's parameter arena.
+gradients under the same names, in the same order.
 
 Checkpoint format: magic "BLMODEL1", u32 header length, canonical-JSON header
 (architecture, freeze flags, parameter manifest), float32 payload in manifest
@@ -398,21 +397,11 @@ def forward_batch(ps: SetEncoderParams, te: TextTowerParams, photos, counts, tex
 def backward(tape: Tape, loss: Var, params: dict[str, Var]) -> dict[str, np.ndarray]:
     """Gradients for every tensor in params, keyed and ordered as params.
 
-    The gradients are views, shaped as their tensors, into one flat float64
-    buffer (each view's ``base``) that holds them back to back in params'
-    order: the layout of align's parameter arena. Frozen or unreached tensors
-    get exact zeros. Consumes the tape.
+    Frozen or unreached tensors get exact zeros. Consumes the tape.
     """
     raw = ad.backward(tape, loss)
-    flat = np.zeros(sum(var.value.size for var in params.values()))
-    grads = {}
-    lo = 0
-    for name, var in params.items():
-        grads[name] = g = flat[lo : lo + var.value.size].reshape(var.value.shape)
-        if id(var) in raw:
-            g[...] = raw[id(var)]
-        lo += var.value.size
-    return grads
+    return {name: raw[id(var)] if id(var) in raw else np.zeros_like(var.value)
+            for name, var in params.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -183,8 +183,7 @@ def test_init_adam_state_packs_values_into_one_arena():
     assert state.spans == {"a": (0, 12), "frozen": (12, 17), "s": (17, 18)}
 
 
-@pytest.mark.parametrize("as_dict", [False, True], ids=["flat", "dict"])
-def test_flat_adam_matches_the_per_tensor_formula_bitwise(as_dict):
+def test_flat_adam_matches_the_per_tensor_formula_bitwise():
     rng = np.random.default_rng(1)
     params = _arena_params(rng)
     hyper = align.AdamHyper(beta1=0.8, beta2=0.95, eps=1e-7, weight_decay=0.03)
@@ -198,7 +197,7 @@ def test_flat_adam_matches_the_per_tensor_formula_bitwise(as_dict):
         grads = {name: flat[lo:hi].reshape(params[name].value.shape)
                  for name, (lo, hi) in state.spans.items()}
         lr = 0.01 * (step + 1)
-        align.adam_step(params, grads if as_dict else flat, state, hyper, step, lr)
+        align.adam_step(params, grads, state, hyper, step, lr)
         for name in ("a", "s"):
             values, m, v = ref[name]
             ref[name] = _reference_adam(values, grads[name], m, v, hyper, step + 1, lr)
@@ -209,15 +208,31 @@ def test_flat_adam_matches_the_per_tensor_formula_bitwise(as_dict):
     assert not state.m["frozen"].any() and not state.v["frozen"].any()
 
 
+def _ones_like(params):
+    return {name: np.ones_like(var.value) for name, var in params.items()}
+
+
 def test_adam_rejects_a_value_rebound_after_init():
     params = _arena_params(np.random.default_rng(2))
     state = align.init_adam_state(params)
     params["a"].value = params["a"].value.copy()  # a detached copy would train alone
     with pytest.raises(DetachedParameter, match="a:"):
-        align.adam_step(params, np.ones(state.arena.size), state, align.AdamHyper(), 0, lr=0.1)
+        align.adam_step(params, _ones_like(params), state, align.AdamHyper(), 0, lr=0.1)
     params["frozen"].value = params["frozen"].value.copy()  # frozen tensors are not updated
     params["a"].value = state.arena[0:12].reshape(3, 4)
-    align.adam_step(params, np.ones(state.arena.size), state, align.AdamHyper(), 0, lr=0.1)
+    align.adam_step(params, _ones_like(params), state, align.AdamHyper(), 0, lr=0.1)
+
+
+@pytest.mark.parametrize("shape", [(12,), (4, 3), (1,), (1, 4), (3, 5)])
+def test_adam_rejects_a_gradient_not_shaped_as_its_tensor(shape):
+    params = _arena_params(np.random.default_rng(3))
+    state = align.init_adam_state(params)
+    before = state.arena.copy()
+    grads = _ones_like(params)
+    grads["a"] = np.ones(shape)  # same size, or one numpy would broadcast
+    with pytest.raises(ShapeMismatch, match="a:"):
+        align.adam_step(params, grads, state, align.AdamHyper(), 0, lr=0.1)
+    assert state.arena.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -113,10 +113,9 @@ def hashes_of(tree: str) -> dict[str, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tree", default=ROOT, help="checkout to run (default: this one)")
     parser.add_argument("--against", help="a second checkout; print only the outputs that differ")
     args = parser.parse_args(argv)
-    ours = hashes_of(args.tree)
+    ours = hashes_of(ROOT)
     if args.against is None:
         for name, digest in ours.items():
             print(f"{name} {digest}")
