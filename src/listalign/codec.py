@@ -16,7 +16,9 @@ them, and perfbench/tracing.py times them by name.
 
 Trained codec parameters are rounded to float32 before use so that the values in
 memory equal the values on disk; encoding after a save/load round-trip is
-bit-identical to encoding before it.
+bit-identical to encoding before it. A codec checks itself wherever it is built,
+by its trainer, a caller or load_codec: dims its trainer does not write, a
+non-finite parameter or a scale not above 0 is DegenerateInput.
 
 PQ encoding picks, per subspace, the centroid with the smallest
 ||c||^2 - 2 x.c (linalg._nearest; ties go to the lowest index) from a score
@@ -121,13 +123,24 @@ def _input(x, width: int, who: str) -> np.ndarray:
     return x
 
 
-def _codes(block: CodeBlock, width: int, who: str) -> np.ndarray:
-    """block's codes, which must be width bytes per vector."""
+def _codes(block: CodeBlock, width: int, who: str, k: int = 256) -> np.ndarray:
+    """block's codes, which must be width bytes per vector, each below k."""
     if block.bytes_per_vector != width:
         raise ShapeMismatch(
             f"{who}: block has {block.bytes_per_vector} bytes/vector, expected {width}"
         )
+    if k < 256 and (top := int(block.codes.max(initial=0))) >= k:
+        raise DegenerateInput(f"{who}: code {top} is not below k={k}")
     return block.codes
+
+
+def _check(codec, ok: bool) -> None:
+    """DegenerateInput unless ok (dims its trainer writes) and every saved array is finite."""
+    header, arrays = codec.layout()
+    if not ok:
+        raise DegenerateInput(f"{type(codec).__name__}: dims {header} are not ones {codec.trainer} writes")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DegenerateInput(f"{type(codec).__name__}: non-finite parameter")
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +160,11 @@ class PqCodebook:
     k: int
     sub_dim: int
     codebooks: np.ndarray  # (m, k, sub_dim)
+    trainer = "pq_train"
+
+    def __post_init__(self):
+        d, m, k, sub_dim = self.layout()[0]
+        _check(self, d >= 1 and m >= 1 and 1 <= k <= 256 and sub_dim == -(-d // m))
 
     @property
     def padded_dim(self) -> int:
@@ -165,7 +183,7 @@ class PqCodebook:
 
     def decode(self, block: CodeBlock) -> np.ndarray:
         """Reconstruct vectors by concatenating the indexed centroids."""
-        return _pq_decode_padded(self, _codes(block, self.m, "PqCodebook.decode"))[:, : self.dim]
+        return _pq_decode_padded(self, _codes(block, self.m, "PqCodebook.decode", self.k))[:, : self.dim]
 
     def layout(self):
         return (self.dim, self.m, self.k, self.sub_dim), (self.codebooks,)
@@ -173,15 +191,7 @@ class PqCodebook:
     @classmethod
     def read(cls, r: Reader) -> PqCodebook:
         dim, m, k, sub_dim = (r.u32() for _ in range(4))
-        _check_pq_header(r, dim, m, k, sub_dim)
         return cls(dim, m, k, sub_dim, r.f32((m, k, sub_dim)))
-
-
-def _check_pq_header(r: Reader, dim: int, m: int, k: int, sub_dim: int) -> None:
-    """CorruptFile unless the dims are ones pq_train writes."""
-    if dim < 1 or m < 1 or not 1 <= k <= 256 or sub_dim != -(-dim // m):
-        raise CorruptFile(f"{r.path}: PQ header dim={dim} m={m} k={k} sub_dim={sub_dim} "
-                          "is not one pq_train writes")
 
 
 def _pad_columns(x: np.ndarray, width: int) -> np.ndarray:
@@ -279,6 +289,10 @@ class OpqCodec:
     rotation: np.ndarray  # (rotated_dim, rotated_dim)
     pq: PqCodebook
     objective_history: np.ndarray = field(default_factory=lambda: np.empty(0))
+    trainer = "opq_train"
+
+    def __post_init__(self):
+        _check(self, self.input_dim <= self.rotated_dim == self.pq.dim == self.pq.padded_dim)
 
     def encode(self, x) -> CodeBlock:
         x = _input(x, self.input_dim, "OpqCodec.encode")
@@ -290,7 +304,7 @@ class OpqCodec:
         return CodeBlock(n=x.shape[0], bytes_per_vector=self.pq.m, codes=codes)
 
     def decode(self, block: CodeBlock) -> np.ndarray:
-        codes = _codes(block, self.pq.m, "OpqCodec.decode")
+        codes = _codes(block, self.pq.m, "OpqCodec.decode", self.pq.k)
         out = np.empty((block.n, self.input_dim))
         for lo in range(0, block.n, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
@@ -306,12 +320,8 @@ class OpqCodec:
     @classmethod
     def read(cls, r: Reader) -> OpqCodec:
         input_dim, rotated_dim, m, k, sub_dim = (r.u32() for _ in range(5))
-        if rotated_dim != m * sub_dim or input_dim > rotated_dim:
-            raise CorruptFile(f"{r.path}: OPQ header input_dim={input_dim} rotated_dim={rotated_dim} "
-                              f"m={m} sub_dim={sub_dim} is not one opq_train writes")
-        _check_pq_header(r, rotated_dim, m, k, sub_dim)
         rotation = r.f32((rotated_dim, rotated_dim))
-        pq = PqCodebook(rotated_dim, m, k, sub_dim, r.f32((m, k, sub_dim)))
+        pq = PqCodebook(m * sub_dim, m, k, sub_dim, r.f32((m, k, sub_dim)))  # OPQ's rule judges rotated_dim
         return cls(input_dim, rotated_dim, rotation, pq)
 
 
@@ -396,6 +406,12 @@ class ScalarQuantizer:
 
     mins: np.ndarray   # (d,)
     scales: np.ndarray  # (d,) strictly positive
+    trainer = "scalar_train"
+
+    def __post_init__(self):
+        _check(self, self.dim >= 1)
+        if not (self.scales > 0.0).all():
+            raise DegenerateInput("ScalarQuantizer: scale not above 0")
 
     @property
     def dim(self) -> int:
@@ -413,8 +429,6 @@ class ScalarQuantizer:
     @classmethod
     def read(cls, r: Reader) -> ScalarQuantizer:
         dim = r.u32()
-        if dim < 1:
-            raise CorruptFile(f"{r.path}: scalar header dim={dim} is not one scalar_train writes")
         return cls(r.f32((dim,)), r.f32((dim,)))
 
 
@@ -457,6 +471,10 @@ class PcaCodec:
     out_dim: int
     pca: PcaModel
     quantizer: ScalarQuantizer
+    trainer = "pca_codec_train"
+
+    def __post_init__(self):
+        _check(self, 1 <= self.out_dim <= self.input_dim)
 
     def encode(self, x) -> CodeBlock:
         x = _input(x, self.input_dim, "PcaCodec.encode")
@@ -473,9 +491,6 @@ class PcaCodec:
     @classmethod
     def read(cls, r: Reader) -> PcaCodec:
         input_dim, out_dim = r.u32(), r.u32()
-        if not 1 <= out_dim <= input_dim:
-            raise CorruptFile(f"{r.path}: PCA header input_dim={input_dim} out_dim={out_dim} "
-                              "is not one pca_codec_train writes")
         pca = PcaModel(r.f32((input_dim,)), r.f32((out_dim, input_dim)), r.f32((out_dim,)))
         return cls(input_dim, out_dim, pca, ScalarQuantizer(r.f32((out_dim,)), r.f32((out_dim,))))
 
@@ -633,19 +648,16 @@ def save_codec(path: str, codec: Codec) -> None:
 
 
 def load_codec(path: str) -> Codec:
-    """Read any codec; a file no trainer could write (header dims no trainer
-    writes, a non-finite parameter, a scale not above 0) is CorruptFile."""
+    """Read any codec; a file whose codec does not build is CorruptFile naming its kind's trainer."""
     r = Reader(path, CODEC_MAGIC)
     tag = r.u8()
     if tag >= len(_CLASSES):
         raise CorruptFile(f"{path}: unknown codec kind {tag}")
-    codec = _CLASSES[tag].read(r)
+    try:
+        codec = _CLASSES[tag].read(r)
+    except DegenerateInput as err:  # a part's check may fire first, so name the kind's trainer
+        raise CorruptFile(f"{path}: the codec is not one {_CLASSES[tag].trainer} writes: {err}") from None
     r.end()
-    if not all(np.isfinite(a).all() for a in codec.layout()[1]):
-        raise CorruptFile(f"{path}: non-finite codec parameter")
-    quantizer = codec.quantizer if isinstance(codec, PcaCodec) else codec
-    if isinstance(quantizer, ScalarQuantizer) and not (quantizer.scales > 0.0).all():
-        raise CorruptFile(f"{path}: scalar quantizer scale not above 0")
     return codec
 
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import model, synth
 from ._fileio import Reader, atomic_write_bytes, with_crc32
-from .errors import CorruptFile
 
 __all__ = ["GALLERY_FILE", "GALLERY_VERSION", "Gallery", "embed", "content_key",
            "save_gallery", "load_gallery", "write_beside", "cached"]
@@ -89,8 +88,6 @@ def load_gallery(path: str) -> tuple[bytes, Gallery]:
     r = Reader(path, GALLERY_MAGIC, checksum=True)
     key = r.raw(32)
     n, d = (int(v) for v in r.i64(2))
-    if n < 0 or d < 0:
-        raise CorruptFile(f"{path}: negative gallery shape ({n}, {d})")
     gallery = Gallery(ids=r.i64(n), photo=r.f64((n, d)), text=r.f64((n, d)))
     r.end()
     return key, gallery

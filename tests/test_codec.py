@@ -1,5 +1,7 @@
 """Tests for the PQ / OPQ / scalar / PCA codecs and their file formats."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from listalign import codec
 from listalign.errors import ConfigError, CorruptFile, DegenerateInput, ShapeMismatch
-from listalign.linalg import kmeans_fit, kmeans_refine, procrustes
+from listalign.linalg import PcaModel, kmeans_fit, kmeans_refine, procrustes
 
 from conftest import assert_every_prefix_corrupt
 
@@ -306,6 +308,74 @@ class TestPcaCodec:
 
 
 # ---------------------------------------------------------------------------
+# a codec that exists is valid
+# ---------------------------------------------------------------------------
+
+def _small_settings(kind):
+    return codec.CodecSettings(kind, m=2, k=4, iters=2, outer_iters=1, kmeans_iters=2, out_dim=3)
+
+
+def _pq(dim=4, m=2, k=4, sub_dim=2, books=None):
+    return codec.PqCodebook(dim, m, k, sub_dim, np.zeros((m, k, sub_dim)) if books is None else books)
+
+
+def _pca(input_dim=2, out_dim=1, mean=(0.0, 0.0)):
+    pca = PcaModel(np.array(mean), np.eye(out_dim, input_dim), np.ones(out_dim))
+    return codec.PcaCodec(input_dim, out_dim, pca, codec.ScalarQuantizer(np.zeros(out_dim), np.ones(out_dim)))
+
+
+class TestSelfCheck:
+    @pytest.mark.parametrize("kind", list(codec.KINDS))
+    def test_training_beyond_float32_range_is_degenerate(self, kind):
+        '''Finite float64 rows whose parameters overflow float32 build no codec.'''
+        x = np.random.default_rng(25).normal(size=(60, 6)) * 1e39
+        settings = replace(_small_settings(kind), outer_iters=0)  # else procrustes rejects the overflowed fit
+        with np.errstate(all="ignore"), pytest.raises(DegenerateInput, match="non-finite"):
+            codec.train_codec(settings, x)
+
+    # each builds a codec against one rule its trainer keeps
+    BROKEN = {
+        "pq-sub-dim": lambda: _pq(sub_dim=1, books=np.zeros((2, 4, 1))),  # not ceil(4 / 2)
+        "pq-dim-0": lambda: _pq(dim=0, sub_dim=0, books=np.zeros((2, 4, 0))),
+        "pq-k-257": lambda: _pq(k=257, books=np.zeros((2, 257, 2))),
+        "pq-nan": lambda: _pq(books=np.full((2, 4, 2), np.nan)),
+        "opq-pq-dim": lambda: codec.OpqCodec(4, 4, np.eye(4), _pq(6, sub_dim=3, books=np.zeros((2, 4, 3)))),
+        "opq-pq-padded": lambda: codec.OpqCodec(3, 3, np.eye(3), _pq(dim=3)),  # pq pads 3 to 4
+        "opq-input-dim": lambda: codec.OpqCodec(5, 4, np.eye(4), _pq()),
+        "opq-inf": lambda: codec.OpqCodec(4, 4, np.full((4, 4), np.inf), _pq()),
+        "scalar-dim-0": lambda: codec.ScalarQuantizer(np.zeros(0), np.ones(0)),
+        "scalar-nan": lambda: codec.ScalarQuantizer(np.array([0.0, np.nan]), np.ones(2)),
+        "scalar-scale-0": lambda: codec.ScalarQuantizer(np.zeros(2), np.array([1.0, 0.0])),
+        "scalar-scale-neg": lambda: codec.ScalarQuantizer(np.zeros(2), np.array([1.0, -1.0])),
+        "pca-out-dim": lambda: _pca(input_dim=1, out_dim=2, mean=(0.0,)),
+        "pca-nan": lambda: _pca(mean=(0.0, np.nan)),
+    }
+
+    @pytest.mark.parametrize("case", list(BROKEN))
+    def test_construction_against_a_rule_is_degenerate(self, case):
+        with pytest.raises(DegenerateInput, match="are not ones|non-finite|not above 0"):
+            self.BROKEN[case]()
+
+    def test_valid_construction_round_trips(self, tmp_path):
+        for built in (_pq(), codec.OpqCodec(3, 4, np.eye(4), _pq()), _pca(),
+                      codec.ScalarQuantizer(np.zeros(2), np.ones(2))):
+            path = str(tmp_path / "c.codec")
+            codec.save_codec(path, built)
+            assert codec.load_codec(path).layout()[0] == built.layout()[0]
+
+    @pytest.mark.parametrize("kind", ["pq", "opq"])
+    def test_code_at_or_above_k_is_degenerate(self, kind):
+        x = np.random.default_rng(26).normal(size=(60, 6))
+        trained = codec.train_codec(_small_settings(kind), x)
+        codes = codec.encode(trained, x).codes.copy()
+        codes[7, 1] = 200
+        with pytest.raises(DegenerateInput, match="code 200 is not below k=4"):
+            codec.decode(trained, codec.CodeBlock(60, 2, codes))
+        codes[7, 1] = 3
+        assert codec.decode(trained, codec.CodeBlock(60, 2, codes)).shape == (60, 6)
+
+
+# ---------------------------------------------------------------------------
 # reporting
 # ---------------------------------------------------------------------------
 
@@ -467,6 +537,30 @@ class TestPersistence:
                          + np.array(dims, "<u4").tobytes() + np.ones(floats, "<f4").tobytes())
         with pytest.raises(CorruptFile, match=f"is not one {trainer} writes"):
             codec.load_codec(str(path))
+
+    @pytest.mark.parametrize("kind", list(codec.KINDS))
+    def test_every_header_bit_flip_is_typed(self, kind, tmp_path):
+        '''A flipped bit in the kind byte or a u32 dim raises CorruptFile or loads
+        a codec that encodes and decodes rows of its own input width.'''
+        x = np.random.default_rng(27).normal(size=(60, 4))
+        path = tmp_path / f"{kind}.codec"
+        codec.save_codec(str(path), codec.train_codec(_small_settings(kind), x))
+        data = path.read_bytes()
+        header_end = 9 + 4 * len(codec.load_codec(str(path)).layout()[0])
+        flipped, corrupt = tmp_path / "flipped.codec", 0
+        for i in range(8, header_end):
+            for bit in range(8):
+                mutated = bytearray(data)
+                mutated[i] ^= 1 << bit
+                flipped.write_bytes(bytes(mutated))
+                try:
+                    c = codec.load_codec(str(flipped))
+                except CorruptFile:
+                    corrupt += 1
+                    continue
+                width = c.layout()[0][0]  # every kind's first dim is its input width
+                assert codec.decode(c, codec.encode(c, np.ones((5, width)))).shape == (5, width)
+        assert corrupt > 0.9 * 8 * (header_end - 8)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
     def test_trailing_bytes_in_embedding_file_are_corrupt(self, dtype, tmp_path):
