@@ -423,44 +423,35 @@ def train(
         modelmod.set_text_freeze(te, stage.unfreeze_text_layers)
         for _ in range(stage.epochs):
             order = np.random.default_rng((schedule.seed, epoch)).permutation(n)
-            acc_grads = None
-            acc_count = 0
             losses = []
-            for b in range(batches_per_epoch):
-                idx = order[b * schedule.batch_size : (b + 1) * schedule.batch_size]
-                logits, tape = modelmod.forward_batch(ps, te, photos[idx], counts[idx], texts[idx])
-                with tape:
-                    loss = compute_loss(loss_params, logits)
-                grads = modelmod.backward(tape, loss, params)
-                losses.append(float(loss.value))
-                if acc_grads is None:
-                    acc_grads = grads
-                else:
-                    for name in acc_grads:
-                        acc_grads[name] = acc_grads[name] + grads[name]
-                acc_count += 1
-                if acc_count == schedule.grad_accum or b == batches_per_epoch - 1:
-                    if acc_count > 1:  # g / 1.0 == g bit for bit: skip that pass
-                        for name in acc_grads:
-                            acc_grads[name] = acc_grads[name] / acc_count
-                    lr = learning_rate_at(step, stage.lr, schedule.warmup_steps, horizon)
-                    adam_step(params, acc_grads, state, schedule.adam, step, lr)
-                    gnorm = float(
-                        np.sqrt(sum(float(np.sum(g * g)) for g in acc_grads.values()))
-                    )
-                    log.steps.append(
-                        {
-                            "step": step,
-                            "stage": stage_idx,
-                            "epoch": epoch,
-                            "loss": float(np.mean(losses[-acc_count:])),
-                            "lr": float(lr),
-                            "grad_norm": gnorm,
-                        }
-                    )
-                    step += 1
-                    acc_grads = None
-                    acc_count = 0
+            for lo in range(0, batches_per_epoch, schedule.grad_accum):
+                group = range(lo, min(lo + schedule.grad_accum, batches_per_epoch))
+                grads = None
+                for b in group:  # one optimizer step's micro-batches
+                    idx = order[b * schedule.batch_size : (b + 1) * schedule.batch_size]
+                    logits, tape = modelmod.forward_batch(ps, te, photos[idx], counts[idx], texts[idx])
+                    with tape:
+                        loss = compute_loss(loss_params, logits)
+                    batch_grads = modelmod.backward(tape, loss, params)
+                    losses.append(float(loss.value))
+                    grads = batch_grads if grads is None else {
+                        name: grads[name] + batch_grads[name] for name in grads}
+                if len(group) > 1:  # g / 1.0 == g bit for bit: skip that pass
+                    grads = {name: g / len(group) for name, g in grads.items()}
+                lr = learning_rate_at(step, stage.lr, schedule.warmup_steps, horizon)
+                adam_step(params, grads, state, schedule.adam, step, lr)
+                gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+                log.steps.append(
+                    {
+                        "step": step,
+                        "stage": stage_idx,
+                        "epoch": epoch,
+                        "loss": float(np.mean(losses[-len(group):])),
+                        "lr": float(lr),
+                        "grad_norm": gnorm,
+                    }
+                )
+                step += 1
             epoch_row = {"epoch": epoch, "stage": stage_idx, "train_loss": float(np.mean(losses))}
             if holdout_records:
                 epoch_row.update(

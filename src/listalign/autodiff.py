@@ -5,10 +5,16 @@ pass. Ops only record while a tape is active (``with Tape() as tape:``) and only
 when some input requires a gradient, so frozen or pure-data subgraphs cost
 nothing. Outside a tape an op records nothing at all: its output is a plain
 value with no gradient function, so inference frees each intermediate as soon
-as it is used. A recorded node's gradient function is a closure over its
-parents, and the tape's node list orders the backward pass. A tape may be
-entered several times before backward, but backward consumes it: a second
-backward raises StaleTape.
+as it is used.
+
+Each op passes _make one gradient function per operand, mapping the output's
+gradient to that operand's. A recorded node keeps only the (operand, function)
+pairs whose operand requires a gradient, so a constant such as the attention
+mask costs no backward work; backward calls them in operand order, node by
+node in reverse tape order. A leaf's requires_grad is thus read once, when a
+node that uses it is recorded: freezing it later does not drop its gradient
+from that tape. A tape may be entered several times before backward, but
+backward consumes it: a second backward raises StaleTape.
 
 Broadcasting follows numpy; gradients are summed back over broadcast axes.
 
@@ -79,12 +85,12 @@ class Tape:
 class Var:
     """A float64 array plus the bookkeeping to backpropagate through it."""
 
-    __slots__ = ("value", "requires_grad", "_grad_fn")
+    __slots__ = ("value", "requires_grad", "_grad_fns")
 
-    def __init__(self, value, requires_grad=False, _grad_fn=None):
+    def __init__(self, value, requires_grad=False, _grad_fns=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.requires_grad = requires_grad
-        self._grad_fn = _grad_fn
+        self._grad_fns = _grad_fns
 
     @property
     def shape(self):
@@ -155,10 +161,18 @@ def _lift(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
-def _make(value, parents, grad_fn) -> Var:
-    if not _TAPE_STACK or not any(p.requires_grad for p in parents):
+def _make(value, *edges) -> Var:
+    """value as an op's output, given one (operand, function) pair per operand
+    in operand order, each function mapping the output's gradient to that
+    operand's. Inside a tape, the pairs whose operand requires a gradient now,
+    when the node is recorded, are kept on a new tape node; with none, or
+    outside a tape, the output is a plain value."""
+    if not _TAPE_STACK:
         return Var(value)
-    out = Var(value, requires_grad=True, _grad_fn=grad_fn)
+    kept = tuple(e for e in edges if e[0].requires_grad)
+    if not kept:
+        return Var(value)
+    out = Var(value, requires_grad=True, _grad_fns=kept)
     _TAPE_STACK[-1]._nodes.append(out)
     return out
 
@@ -180,79 +194,43 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # arithmetic
 # ---------------------------------------------------------------------------
 
-# The binary ops, like linear and matmul, skip the gradient of an operand that
-# needs none: backward would drop it, and a constant such as the attention mask
-# would cost a full reduction per step.
-
 def add(a, b) -> Var:
     a, b = _lift(a), _lift(b)
-
-    def grad_fn(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g, a.value.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(g, b.value.shape)))
-        return grads
-
-    return _make(a.value + b.value, (a, b), grad_fn)
+    av, bv = a.value, b.value
+    return _make(av + bv, (a, lambda g: _unbroadcast(g, av.shape)),
+                 (b, lambda g: _unbroadcast(g, bv.shape)))
 
 
 def sub(a, b) -> Var:
     a, b = _lift(a), _lift(b)
-
-    def grad_fn(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g, a.value.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(-g, b.value.shape)))
-        return grads
-
-    return _make(a.value - b.value, (a, b), grad_fn)
+    av, bv = a.value, b.value
+    return _make(av - bv, (a, lambda g: _unbroadcast(g, av.shape)),
+                 (b, lambda g: _unbroadcast(-g, bv.shape)))
 
 
 def mul(a, b) -> Var:
     a, b = _lift(a), _lift(b)
-
-    def grad_fn(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g * b.value, a.value.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(g * a.value, b.value.shape)))
-        return grads
-
-    return _make(a.value * b.value, (a, b), grad_fn)
+    av, bv = a.value, b.value
+    return _make(av * bv, (a, lambda g: _unbroadcast(g * bv, av.shape)),
+                 (b, lambda g: _unbroadcast(g * av, bv.shape)))
 
 
 def div(a, b) -> Var:
     a, b = _lift(a), _lift(b)
-
-    def grad_fn(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g / b.value, a.value.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)))
-        return grads
-
-    return _make(a.value / b.value, (a, b), grad_fn)
+    av, bv = a.value, b.value
+    return _make(av / bv, (a, lambda g: _unbroadcast(g / bv, av.shape)),
+                 (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)))
 
 
 def neg(a) -> Var:
     a = _lift(a)
-    return _make(-a.value, (a,), lambda g: ((a, -g),))
+    return _make(-a.value, (a, lambda g: -g))
 
 
 def pow_const(a, p: float) -> Var:
     a = _lift(a)
     p = float(p)
-
-    def grad_fn(g):
-        return ((a, g * p * a.value ** (p - 1.0)),)
-
-    return _make(a.value**p, (a,), grad_fn)
+    return _make(a.value**p, (a, lambda g: g * p * a.value ** (p - 1.0)))
 
 
 def _tiled_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -276,25 +254,16 @@ def matmul(a, b) -> Var:
     # Row stability: a 2-D right operand (every weight) makes this a linear
     # node without a bias, run in 8-row tiles; a stacked right operand gets one
     # gemm per stacked slice. Either way a row's result is bit-identical alone
-    # or in any batch. Backward only needs determinism, and skips operands
-    # that need no grad.
+    # or in any batch. Backward only needs determinism.
     a, b = _lift(a), _lift(b)
     av, bv = a.value, b.value
     if av.ndim < 2 or bv.ndim < 2:
         raise ShapeMismatch("matmul: operands must have at least 2 dimensions")
     if bv.ndim == 2:
         return linear(a, b)
-    out_val = np.matmul(av, bv)
-
-    def grad_fn(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
-        return grads
-
-    return _make(out_val, (a, b), grad_fn)
+    return _make(np.matmul(av, bv),
+                 (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
+                 (b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
 
 
 def linear(x, w, b=None) -> Var:
@@ -303,25 +272,14 @@ def linear(x, w, b=None) -> Var:
     the node is the plain product and records x and w as its parents."""
     x, w = _lift(x), _lift(w)
     xv, wv = x.value, w.value
+    k, n = wv.shape
     out_val = _tiled_matmul(xv, wv)
-    parents = (x, w)
+    edges = [(x, lambda g: g @ wv.T), (w, lambda g: xv.reshape(-1, k).T @ g.reshape(-1, n))]
     if b is not None:
         b = _lift(b)
         out_val += b.value
-        parents += (b,)
-
-    def grad_fn(g):
-        k, n = wv.shape
-        grads = []
-        if x.requires_grad:
-            grads.append((x, g @ wv.T))
-        if w.requires_grad:
-            grads.append((w, xv.reshape(-1, k).T @ g.reshape(-1, n)))
-        if b is not None and b.requires_grad:
-            grads.append((b, g.reshape(-1, n).sum(axis=0)))
-        return grads
-
-    return _make(out_val, parents, grad_fn)
+        edges.append((b, lambda g: g.reshape(-1, n).sum(axis=0)))
+    return _make(out_val, *edges)
 
 
 # ---------------------------------------------------------------------------
@@ -331,24 +289,24 @@ def linear(x, w, b=None) -> Var:
 def exp(a) -> Var:
     a = _lift(a)
     out_val = np.exp(a.value)
-    return _make(out_val, (a,), lambda g: ((a, g * out_val),))
+    return _make(out_val, (a, lambda g: g * out_val))
 
 
 def log(a) -> Var:
     a = _lift(a)
-    return _make(np.log(a.value), (a,), lambda g: ((a, g / a.value),))
+    return _make(np.log(a.value), (a, lambda g: g / a.value))
 
 
 def sqrt(a) -> Var:
     a = _lift(a)
     out_val = np.sqrt(a.value)
-    return _make(out_val, (a,), lambda g: ((a, g * 0.5 / out_val),))
+    return _make(out_val, (a, lambda g: g * 0.5 / out_val))
 
 
 def tanh(a) -> Var:
     a = _lift(a)
     out_val = np.tanh(a.value)
-    return _make(out_val, (a,), lambda g: ((a, g * (1.0 - out_val * out_val)),))
+    return _make(out_val, (a, lambda g: g * (1.0 - out_val * out_val)))
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -385,9 +343,9 @@ def gelu(a) -> Var:
         d *= 0.5
         d += tail
         d *= g
-        return ((a, d),)
+        return d
 
-    return _make(out_val, (a,), grad_fn)
+    return _make(out_val, (a, grad_fn))
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -403,12 +361,7 @@ def _expit(x: np.ndarray) -> np.ndarray:
 def log_sigmoid(a) -> Var:
     """log(sigmoid(x)) computed as -log1p(exp(-x)) without overflow."""
     a = _lift(a)
-    out_val = -np.logaddexp(0.0, -a.value)
-
-    def grad_fn(g):
-        return ((a, g * _expit(-a.value)),)
-
-    return _make(out_val, (a,), grad_fn)
+    return _make(-np.logaddexp(0.0, -a.value), (a, lambda g: g * _expit(-a.value)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +376,9 @@ def vsum(a, axis=None, keepdims=False) -> Var:
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(g, a.value.shape).copy()),)
+        return np.broadcast_to(g, a.value.shape).copy()
 
-    return _make(out_val, (a,), grad_fn)
+    return _make(out_val, (a, grad_fn))
 
 
 def vmean(a, axis=None, keepdims=False) -> Var:
@@ -440,23 +393,21 @@ def vmean(a, axis=None, keepdims=False) -> Var:
         g = np.asarray(g) / count
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(g, a.value.shape).copy()),)
+        return np.broadcast_to(g, a.value.shape).copy()
 
-    return _make(out_val, (a,), grad_fn)
+    return _make(out_val, (a, grad_fn))
 
 
 def reshape(a, shape) -> Var:
     a = _lift(a)
     orig = a.value.shape
-    return _make(a.value.reshape(shape), (a,), lambda g: ((a, g.reshape(orig)),))
+    return _make(a.value.reshape(shape), (a, lambda g: g.reshape(orig)))
 
 
 def transpose(a, axes) -> Var:
     a = _lift(a)
     inverse = np.argsort(axes)
-    return _make(
-        np.transpose(a.value, axes), (a,), lambda g: ((a, np.transpose(g, inverse)),)
-    )
+    return _make(np.transpose(a.value, axes), (a, lambda g: np.transpose(g, inverse)))
 
 
 def getitem(a, key) -> Var:
@@ -468,9 +419,9 @@ def getitem(a, key) -> Var:
         # fraction of the cost
         flat = np.arange(a.value.size).reshape(a.value.shape)[key]
         full = np.bincount(np.ravel(flat), weights=np.ravel(g), minlength=a.value.size)
-        return ((a, full.reshape(a.value.shape)),)
+        return full.reshape(a.value.shape)
 
-    return _make(a.value[key], (a,), grad_fn)
+    return _make(a.value[key], (a, grad_fn))
 
 
 def put_rows(a, rows, shape) -> Var:
@@ -480,11 +431,7 @@ def put_rows(a, rows, shape) -> Var:
     d = shape[-1]
     out_val = np.zeros(shape)
     out_val.reshape(-1, d)[rows] = a.value
-
-    def grad_fn(g):
-        return ((a, g.reshape(-1, d)[rows]),)
-
-    return _make(out_val, (a,), grad_fn)
+    return _make(out_val, (a, lambda g: g.reshape(-1, d)[rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +464,15 @@ def logsumexp(a, axis, keepdims=False) -> Var:
     def grad_fn(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return ((a, g * np.exp(a.value - lse)),)
+        return g * np.exp(a.value - lse)
 
-    return _make(lse if keepdims else np.squeeze(lse, axis), (a,), grad_fn)
+    return _make(lse if keepdims else np.squeeze(lse, axis), (a, grad_fn))
 
 
 def log_softmax(a, axis) -> Var:
     a = _lift(a)
     out_val = a.value - _logsumexp_value(a.value, axis)
-
-    def grad_fn(g):
-        return ((a, g - np.exp(out_val) * g.sum(axis=axis, keepdims=True)),)
-
-    return _make(out_val, (a,), grad_fn)
+    return _make(out_val, (a, lambda g: g - np.exp(out_val) * g.sum(axis=axis, keepdims=True)))
 
 
 def softmax(a, axis) -> Var:
@@ -542,9 +485,9 @@ def softmax(a, axis) -> Var:
         d = g * out_val
         np.subtract(g, d.sum(axis=axis, keepdims=True), out=d)
         d *= out_val
-        return ((a, d),)
+        return d
 
-    return _make(out_val, (a,), grad_fn)
+    return _make(out_val, (a, grad_fn))
 
 
 def layer_norm(x, g, b, eps: float) -> Var:
@@ -556,22 +499,16 @@ def layer_norm(x, g, b, eps: float) -> Var:
     out_val = xhat * g.value
     out_val += b.value
 
-    def grad_fn(gy):
-        grads = []
-        if x.requires_grad:
-            d = gy * g.value
-            proj = (d * xhat).mean(axis=-1, keepdims=True)
-            d -= d.mean(axis=-1, keepdims=True)
-            d -= xhat * proj
-            d /= std
-            grads.append((x, d))
-        if g.requires_grad:
-            grads.append((g, _unbroadcast(gy * xhat, g.value.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(gy, b.value.shape)))
-        return grads
+    def x_grad(gy):
+        d = gy * g.value
+        proj = (d * xhat).mean(axis=-1, keepdims=True)
+        d -= d.mean(axis=-1, keepdims=True)
+        d -= xhat * proj
+        d /= std
+        return d
 
-    return _make(out_val, (x, g, b), grad_fn)
+    return _make(out_val, (x, x_grad), (g, lambda gy: _unbroadcast(gy * xhat, g.value.shape)),
+                 (b, lambda gy: _unbroadcast(gy, b.value.shape)))
 
 
 def split_heads(a, rows, shape, axes=(0, 2, 1, 3)) -> Var:
@@ -583,11 +520,8 @@ def split_heads(a, rows, shape, axes=(0, 2, 1, 3)) -> Var:
     padded = np.zeros((shape[0] * shape[1], d))
     padded[rows] = a.value
     inverse = np.argsort(axes)
-
-    def grad_fn(g):
-        return ((a, np.transpose(g, inverse).reshape(-1, d)[rows]),)
-
-    return _make(np.transpose(padded.reshape(shape), axes), (a,), grad_fn)
+    return _make(np.transpose(padded.reshape(shape), axes),
+                 (a, lambda g: np.transpose(g, inverse).reshape(-1, d)[rows]))
 
 
 def merge_heads(a, rows) -> Var:
@@ -599,10 +533,10 @@ def merge_heads(a, rows) -> Var:
     def grad_fn(g):
         full = np.zeros((B * P, H * dh))
         full[rows] = g
-        return ((a, np.transpose(full.reshape(B, P, H, dh), (0, 2, 1, 3))),)
+        return np.transpose(full.reshape(B, P, H, dh), (0, 2, 1, 3))
 
     merged = np.transpose(a.value, (0, 2, 1, 3)).reshape(B * P, H * dh)
-    return _make(merged[rows], (a,), grad_fn)
+    return _make(merged[rows], (a, grad_fn))
 
 
 # ---------------------------------------------------------------------------
@@ -624,17 +558,16 @@ def backward(tape: Tape, root: Var) -> dict[int, np.ndarray]:
 
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.value)}
     leaf_grads: dict[int, np.ndarray] = {}
-    if root.requires_grad and root._grad_fn is None:
+    if root.requires_grad and root._grad_fns is None:
         leaf_grads[id(root)] = np.ones_like(root.value)
 
     for node in reversed(tape._nodes):
         g = grads.pop(id(node), None)
-        if g is None or node._grad_fn is None:
+        if g is None:
             continue
-        for parent, pg in node._grad_fn(g):
-            if not parent.requires_grad:
-                continue
-            target = leaf_grads if parent._grad_fn is None else grads
+        for parent, grad_fn in node._grad_fns:
+            pg = grad_fn(g)
+            target = leaf_grads if parent._grad_fns is None else grads
             key = id(parent)
             if key in target:
                 target[key] = target[key] + pg

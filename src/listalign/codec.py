@@ -292,7 +292,7 @@ class OpqCodec:
     trainer = "opq_train"
 
     def __post_init__(self):
-        _check(self, self.input_dim <= self.rotated_dim == self.pq.dim == self.pq.padded_dim)
+        _check(self, 1 <= self.input_dim <= self.rotated_dim == self.pq.dim == self.pq.padded_dim)
 
     def encode(self, x) -> CodeBlock:
         x = _input(x, self.input_dim, "OpqCodec.encode")

@@ -214,12 +214,18 @@ def set_text_freeze(params: TextTowerParams, unfrozen_layers) -> None:
 # ---------------------------------------------------------------------------
 
 def _l2_normalize_rows(y: Var) -> Var:
-    """Unit-normalize rows; rows with norm < 1e-12 become the first basis vector."""
-    norms = ad.sqrt((y * y).sum(axis=-1, keepdims=True))
-    safe = norms.value >= NORM_GUARD
+    """Unit-normalize rows; rows with norm < 1e-12 become the first basis vector.
+
+    The guard covers the gradient too: a guarded row's denominator is
+    sqrt(sum of squares + 1), never sqrt(0), so an all-zero row gets a zero
+    gradient, not NaN. Every other row keeps the value and gradient bits of
+    y / sqrt(sum of squares).
+    """
+    sq = (y * y).sum(axis=-1, keepdims=True)
+    safe = np.sqrt(sq.value) >= NORM_GUARD
     if safe.all():
-        return y / norms
-    denom = norms + ad.constant(np.where(safe, 0.0, 1.0))
+        return y / ad.sqrt(sq)
+    denom = ad.sqrt(sq + ad.constant(np.where(safe, 0.0, 1.0)))
     fallback = np.zeros(y.value.shape)
     fallback[..., 0] = 1.0
     mask = safe.astype(np.float64)

@@ -304,6 +304,20 @@ def test_frozen_text_layers_bit_identical_after_training():
     assert not np.array_equal(te.tensors["text1.w"].value, before["text1.w"])
 
 
+def test_zero_text_row_trains_to_finite_parameters():
+    # zero text biases carry an all-zero text row to an exactly-zero output
+    # row, the L2 guard's case, in the first batch: its gradient must not be NaN
+    records = _tiny_dataset(8)
+    records[3].text_features[:] = 0.0
+    ps, te = _tiny_towers()
+    schedule = align.TrainSchedule(
+        stages=(align.TrainStage(epochs=2, lr=3e-3, unfreeze_text_layers=(0, 1)),), batch_size=8,
+    )
+    result = align.train(records, [], ps, te, align.LossConfig(), schedule)
+    for name, var in {**result.ps.tensors, **result.te.tensors, **result.loss_params.tensors}.items():
+        assert np.isfinite(var.value).all(), name
+
+
 def test_training_is_deterministic():
     def run():
         records = _tiny_dataset(10, seed=5)

@@ -41,6 +41,15 @@ def check_grad(build, x0, rtol=1e-6):
     assert np.linalg.norm(analytic - numeric) / scale < rtol
 
 
+def node_grads(out, g=None):
+    """The (parent, gradient) pairs out's recorded node gives for the output
+    gradient g (ones by default), or None when out is not a recorded node."""
+    if out._grad_fns is None:
+        return None
+    g = np.ones_like(out.value) if g is None else g
+    return [(parent, grad_fn(g)) for parent, grad_fn in out._grad_fns]
+
+
 # (left, right) shapes for each matmul path: activations @ weight, 2-D @ 2-D,
 # attention's stacked products, and a 2-D left operand broadcast over a stack.
 MATMUL_CASES = [((3, 5, 4), (4, 6)), ((6, 4), (4, 3)), ((2, 3, 5, 4), (2, 3, 4, 5)), ((5, 4), (3, 4, 2))]
@@ -126,7 +135,7 @@ class TestGradients:
             with ad.Tape() as tape:
                 out = left @ right
                 loss = out.sum()
-            pairs = out._grad_fn(np.ones_like(out.value))
+            pairs = node_grads(out)
             assert [p is live for p, _ in pairs] == [True]
             assert pairs[0][1].shape == live.shape
             grads = ad.backward(tape, loss)
@@ -357,7 +366,7 @@ class TestFusedOps:
         g = rng.normal(size=x.shape)
         with ad.Tape():
             out = ad.gelu(ad.param(x))
-        ((_, got),) = out._grad_fn(g)
+        ((_, got),) = node_grads(out, g)
         c = np.sqrt(2.0 / np.pi)
         t = np.tanh(c * (x + 0.044715 * x * x * x))
         d_inner = c * (1.0 + 3.0 * 0.044715 * x * x)
@@ -371,7 +380,7 @@ class TestFusedOps:
             with ad.Tape():
                 out = ad.softmax(ad.param(x0 + mask), axis)
             g = rng.normal(size=x0.shape)
-            ((_, got),) = out._grad_fn(g)
+            ((_, got),) = node_grads(out, g)
             s = out.value
             assert got.tobytes() == (s * (g - (g * s).sum(axis=axis, keepdims=True))).tobytes()
 
@@ -402,32 +411,58 @@ class TestFusedOps:
             g = rng.normal(size=g_shape) * 10.0 ** rng.integers(-8, 8, size=g_shape)
             with ad.Tape():
                 out = ad.getitem(ad.param(x), key)
-            ((_, got),) = out._grad_fn(g)
+            ((_, got),) = node_grads(out, g)
             want = np.zeros(shape)
             np.add.at(want, key, g)
             assert got.tobytes() == want.tobytes(), key
 
-    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul-stacked", "linear", "layer_norm"])
     def test_binary_op_constant_operand_gets_no_gradient(self, op):
         rng = np.random.default_rng(32)
         x, c = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 1, 4)) + 3.0
         g = rng.normal(size=(3, 2, 4))
-        # each operand's gradient as the ops computed both before the skip
-        expected = {
-            "add": lambda a, b: (g, g),
-            "sub": lambda a, b: (g, -g),
-            "mul": lambda a, b: (g * b, g * a),
-            "div": lambda a, b: (g / b, -g * a / (b * b)),
+        y, w, b, gain, shift = (rng.normal(size=s) for s in ((3, 4, 5), (4, 5), (5,), (4,), (4,)))
+        g5 = rng.normal(size=(3, 2, 5))
+        binary = [((x, c), (0,)), ((c, x), (1,))]
+        # (operand values, live operand indices) trials, the output gradient,
+        # and each operand's gradient written out as the op's expression
+        trials, g, expected, build = {
+            "add": (binary, g, lambda a, b: (g, g), ad.add),
+            "sub": (binary, g, lambda a, b: (g, -g), ad.sub),
+            "mul": (binary, g, lambda a, b: (g * b, g * a), ad.mul),
+            "div": (binary, g, lambda a, b: (g / b, -g * a / (b * b)), ad.div),
+            "matmul-stacked": (
+                [((x, y), (0,)), ((x, y), (1,))], g5,
+                lambda a, b: (g5 @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g5), ad.matmul),
+            "linear": (  # a constant input, then a constant bias
+                [((x, w, b), (1, 2)), ((x, w, b), (0, 1))], g5,
+                lambda x, w, b: (g5 @ w.T, x.reshape(-1, 4).T @ g5.reshape(-1, 5),
+                                 g5.reshape(-1, 5).sum(axis=0)), ad.linear),
+            "layer_norm": (  # a constant gain and bias
+                [((x, gain, shift), (0,))], g, lambda x, gn, bn: (layer_norm_x_grad(x, gn, g, 1e-5),),
+                lambda x, gn, bn: ad.layer_norm(x, gn, bn, 1e-5)),
         }[op]
-        for live_side in (0, 1):
-            operands = [ad.constant(c), ad.constant(c)]
-            operands[live_side] = live = ad.param(x)
+        for values, live in trials:
+            operands = [ad.param(v) if i in live else ad.constant(v) for i, v in enumerate(values)]
             with ad.Tape():
-                out = getattr(ad, op)(*operands)
-            pairs = out._grad_fn(g)
-            assert [p is live for p, _ in pairs] == [True]
-            want = expected(*(v.value for v in operands))[live_side]
-            assert pairs[0][1].tobytes() == want.tobytes()
+                out = build(*operands)
+            pairs = node_grads(out, g)
+            assert [id(p) for p, _ in pairs] == [id(operands[i]) for i in live]
+            want = expected(*values)
+            for (_, got), i in zip(pairs, live):
+                assert got.tobytes() == want[i].tobytes()
+
+
+def layer_norm_x_grad(x, gain, gy, eps):
+    """layer_norm's input gradient in the operation order of its backward."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc / std
+    d = gy * gain
+    proj = (d * xhat).mean(axis=-1, keepdims=True)
+    d = d - d.mean(axis=-1, keepdims=True)
+    d = d - xhat * proj
+    return d / std
 
 
 class TestTapeLifecycle:
@@ -467,6 +502,16 @@ class TestTapeLifecycle:
         assert id(live) in grads
         assert id(frozen) not in grads
 
+    def test_requires_grad_is_read_when_a_node_is_recorded(self):
+        frozen_before, frozen_after = ad.param(np.ones((1, 3))), ad.param(np.full((1, 3), 2.0))
+        frozen_before.requires_grad = False
+        with ad.Tape() as tape:
+            loss = (frozen_before * frozen_after).sum()
+        frozen_after.requires_grad = False
+        grads = ad.backward(tape, loss)
+        assert set(grads) == {id(frozen_after)}
+        np.testing.assert_array_equal(grads[id(frozen_after)], np.ones((1, 3)))
+
     def test_no_recording_without_active_tape(self):
         p = ad.param(np.ones(4).reshape(2, 2))
         tape = ad.Tape()
@@ -481,11 +526,11 @@ class TestTapeLifecycle:
         p = ad.param(np.ones((2, 2)))
         for y in (p * p, p[np.array([1])], ad.gelu(p) @ p):
             assert not y.requires_grad
-            assert y._grad_fn is None
+            assert node_grads(y) is None
         with ad.Tape() as tape:
             y = p * p
             loss = (y[np.array([0, 1])] @ p).sum()
-        assert y._grad_fn is not None
+        assert node_grads(y) is not None
         assert set(ad.backward(tape, loss)) == {id(p)}
 
     def test_non_scalar_root_rejected(self):

@@ -342,6 +342,7 @@ class TestSelfCheck:
         "opq-pq-dim": lambda: codec.OpqCodec(4, 4, np.eye(4), _pq(6, sub_dim=3, books=np.zeros((2, 4, 3)))),
         "opq-pq-padded": lambda: codec.OpqCodec(3, 3, np.eye(3), _pq(dim=3)),  # pq pads 3 to 4
         "opq-input-dim": lambda: codec.OpqCodec(5, 4, np.eye(4), _pq()),
+        "opq-input-dim-0": lambda: codec.OpqCodec(0, 4, np.eye(4), _pq()),
         "opq-inf": lambda: codec.OpqCodec(4, 4, np.full((4, 4), np.inf), _pq()),
         "scalar-dim-0": lambda: codec.ScalarQuantizer(np.zeros(0), np.ones(0)),
         "scalar-nan": lambda: codec.ScalarQuantizer(np.array([0.0, np.nan]), np.ones(2)),
@@ -362,6 +363,15 @@ class TestSelfCheck:
             path = str(tmp_path / "c.codec")
             codec.save_codec(path, built)
             assert codec.load_codec(path).layout()[0] == built.layout()[0]
+
+    def test_opq_with_no_input_columns_is_degenerate(self, tmp_path):
+        with pytest.raises(DegenerateInput, match="are not ones opq_train writes"):
+            codec.opq_train(np.zeros((10, 0)), m=2, k=2, rotated_dim=4, outer_iters=0)
+        path = tmp_path / "opq.codec"  # input_dim, rotated_dim, m, k, sub_dim; then rotation, books
+        path.write_bytes(b"BLCODEC1" + bytes([list(codec.KINDS).index("opq")])
+                         + np.array((0, 4, 2, 2, 2), "<u4").tobytes() + np.zeros(16 + 8, "<f4").tobytes())
+        with pytest.raises(CorruptFile, match="is not one opq_train writes"):
+            codec.load_codec(str(path))
 
     @pytest.mark.parametrize("kind", ["pq", "opq"])
     def test_code_at_or_above_k_is_degenerate(self, kind):

@@ -123,6 +123,24 @@ class TestEncoding:
         expected[:, 0] = 1.0
         np.testing.assert_array_equal(out, expected)
 
+    def test_norm_guard_row_gets_zero_gradient(self):
+        rng = np.random.default_rng(15)
+        rows, mix = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+
+        def row_grads(x, m):
+            p = ad.param(x)
+            with ad.Tape() as tape:
+                loss = (model._l2_normalize_rows(p) * ad.constant(m)).sum()
+            return ad.backward(tape, loss)[id(p)]
+
+        with_zero = rows.copy()
+        with_zero[2] = 0.0
+        with np.errstate(invalid="raise", divide="raise"):
+            got = row_grads(with_zero, mix)
+        assert not got[2].any()
+        keep = [0, 1, 3]
+        assert got[keep].tobytes() == row_grads(rows[keep], mix[keep]).tobytes()
+
     def test_input_validation(self):
         cfg, ps, te = tiny_setup()
         with pytest.raises(DegenerateInput):
