@@ -34,9 +34,8 @@ schedule = align.TrainSchedule(
 )
 
 def snapshot(tag):
-    everything = train_records + holdout_records
-    embedded = gallery.embed(ps, te, everything)
-    holdout_rows = np.arange(len(train_records), len(everything))
+    embedded = gallery.embed(ps, te, train_records, holdout_records)
+    holdout_rows = np.arange(embedded.n_train, len(embedded.ids))
     m = evaluation.retrieval_metrics(embedded.text, embedded.photo, ks=(1, 5),
                                      query_indices=holdout_rows)
     print(f"{tag}: recall@1 {m.recall_t2i[1]:.3f}  recall@5 {m.recall_t2i[5]:.3f}"

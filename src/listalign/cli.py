@@ -9,8 +9,10 @@ the failing stage's own code: 3 train, 4 quantize, 5 eval and report, 6 search
 Artifacts are written atomically and contain no timestamps, so a rerun with
 the same inputs produces byte-identical files. ``train`` also writes the
 encoded gallery beside its checkpoint. ``search`` and ``eval`` take their
-embeddings from one gallery.Gallery: the saved one when its content key
-matches their inputs, otherwise a fresh ``gallery.embed`` (see gallery.py).
+embeddings, and ``eval`` its split and probe labels, from one
+gallery.Gallery: the saved one when its content key matches their inputs,
+otherwise a fresh ``gallery.embed`` (see gallery.py). So a hit reads no
+dataset file and loads no checkpoint.
 """
 
 from __future__ import annotations
@@ -51,9 +53,16 @@ def _read_input(load, path: str, what: str):
         raise ConfigError(f"cannot read {what}: {exc}")
 
 
-def _embed_if_fits(args, ps, te, gcfg, records):
-    """gallery.embed, or a ConfigError naming both paths when the checkpoint's
-    input widths are not the dataset's."""
+def _gallery(args, load_checkpoint) -> gallerymod.Gallery:
+    """The gallery of args.model and args.data: the saved one on a hit, else a
+    fresh gallery.embed, or a ConfigError naming both paths when the
+    checkpoint's input widths are not the dataset's. load_checkpoint reads
+    args.model on a miss, so each stage picks how a corrupt one fails."""
+    g = gallerymod.cached(args.model, args.data)
+    if g is not None:
+        return g
+    train_recs, holdout_recs, gcfg = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
+    ps, te, _extra = load_checkpoint(args.model)
     takes = (ps.config.d_in, ps.config.p_max, te.config.dims[0])
     data = (gcfg.d_photo, gcfg.p_max, gcfg.d_text)
     if takes != data:
@@ -61,7 +70,7 @@ def _embed_if_fits(args, ps, te, gcfg, records):
             f"cannot use checkpoint {args.model} with dataset under {args.data}: the checkpoint "
             f"takes (d_photo, p_max, d_text) = {takes}, the dataset has {data}"
         )
-    return gallerymod.embed(ps, te, records)
+    return gallerymod.embed(ps, te, train_recs, holdout_recs)
 
 
 def _clamp_ks(ks, n: int):
@@ -148,7 +157,7 @@ def cmd_train(args) -> int:
     modelmod.save_checkpoint(checkpoint, result.ps, result.te, extra=loss_extra)
     result.log.save_jsonl(os.path.join(args.out, "trainlog.jsonl"))
     result.log.save_epoch_csv(os.path.join(args.out, "epochs.csv"))
-    gallerymod.write_beside(checkpoint, args.data, train_recs + holdout_recs)
+    gallerymod.write_beside(checkpoint, args.data, train_recs, holdout_recs)
     if result.log.epochs:
         last = result.log.epochs[-1]
         summary = " ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}" for k, v in last.items())
@@ -193,11 +202,21 @@ def cmd_quantize(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _mean_ndcg(tx_emb, ps_emb, ids, query_rows, depth: int) -> float:
-    """Mean binary NDCG of each query's own row, ranked with ties broken by id."""
+    """Mean binary NDCG of each query's own row, ranked with ties broken by id.
+
+    The row's 1-based position in np.lexsort((ids, -scores)) is 1 plus the
+    rows with a higher score, or an equal score and a lower id, or an equal
+    score and id and a lower index; with one relevant row the ideal DCG is 1,
+    so the query scores what evalmod.ndcg_binary gives that order, without
+    sorting it.
+    """
     scores = []
     for i in query_rows:
-        order = np.lexsort((ids, -(tx_emb[i] @ ps_emb.T)))
-        scores.append(evalmod.ndcg_binary(order, {i}, depth=depth))
+        s = tx_emb[i] @ ps_emb.T
+        tied = np.flatnonzero(s == s[i])  # row i and every row with its exact score
+        pos = 1 + np.count_nonzero(s > s[i]) + np.count_nonzero(
+            (ids[tied] < ids[i]) | ((ids[tied] == ids[i]) & (tied < i)))
+        scores.append(1.0 / np.log2(pos + 1.0) if pos <= depth else 0.0)
     return float(np.mean(scores))
 
 
@@ -208,32 +227,22 @@ def cmd_eval(args) -> int:
         raise ConfigError("--sweep-csv needs --sweep")
     if args.quantize_sweep and not dims:
         raise ConfigError("--quantize-sweep needs --sweep")
-    # the probes need the records' attributes, so the dataset loads either way
-    train_recs, holdout_recs, gcfg = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
-    g = gallerymod.cached(args.model, args.data)
-    if g is None:
-        ps, te, _extra = _read_input(modelmod.load_checkpoint, args.model, "checkpoint")
-        g = _embed_if_fits(args, ps, te, gcfg, train_recs + holdout_recs)
-    ps_emb, tx_emb = g.photo, g.text
+    g = _gallery(args, lambda path: _read_input(modelmod.load_checkpoint, path, "checkpoint"))
+    ps_emb, tx_emb, n_train = g.photo, g.text, g.n_train
     width = tx_emb.shape[1]
     if dims and max(dims) > width:
         raise ConfigError(f"--sweep dims must be at most {width}, the gallery's embedding width, got {max(dims)}")
     n = len(g.ids)
-    query_rows = np.arange(len(train_recs), n)
+    query_rows = np.arange(n_train, n)
     ks = _clamp_ks(ks, n)
     metrics = evalmod.retrieval_metrics(tx_emb, ps_emb, ks=ks, query_indices=query_rows)
     depth = min(10, n)
     retrieval = dict(metrics.as_dict())
     retrieval[f"ndcg_t2i@{depth}"] = _mean_ndcg(tx_emb, ps_emb, g.ids, query_rows, depth)
 
-    probe = {}
-    k_probe = min(10, len(train_recs))
-    train_ps = ps_emb[: len(train_recs)]
-    hold_ps = ps_emb[len(train_recs) :]
-    for attr in synth.ATTRIBUTE_NAMES:
-        tr_labels = [r.attributes[attr] for r in train_recs]
-        ho_labels = [r.attributes[attr] for r in holdout_recs]
-        probe[attr] = evalmod.knn_probe(train_ps, tr_labels, hold_ps, ho_labels, k=k_probe)
+    accuracies = evalmod.knn_probe(ps_emb[:n_train], g.labels[:n_train], ps_emb[n_train:],
+                                   g.labels[n_train:], k=min(10, n_train))
+    probe = dict(zip(synth.ATTRIBUTE_NAMES, accuracies))
 
     sweep = []
     if dims:
@@ -262,12 +271,8 @@ def cmd_eval(args) -> int:
 def cmd_search(args) -> int:
     if args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
-    g = gallerymod.cached(args.model, args.data)
-    if g is None:
-        train_recs, holdout_recs, gcfg = _read_input(synth.load_split, args.data, f"dataset under {args.data}")
-        # a missing --model is an OSError (exit 2), a corrupt one a search failure
-        ps, te, _extra = modelmod.load_checkpoint(args.model)
-        g = _embed_if_fits(args, ps, te, gcfg, train_recs + holdout_recs)
+    # a missing --model is an OSError (exit 2), a corrupt one a search failure
+    g = _gallery(args, modelmod.load_checkpoint)
     # an id outside int64 equals no row; a repeated id resolves to its last row
     rows = np.flatnonzero(g.ids == args.query_id)
     if rows.size == 0:

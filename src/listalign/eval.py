@@ -109,11 +109,13 @@ def retrieval_metrics(text_emb, photo_emb, ks=(1, 5, 10), query_indices=None) ->
     )
 
 
-def knn_probe(train_emb, train_labels, test_emb, test_labels, k: int = 10) -> float:
+def knn_probe(train_emb, train_labels, test_emb, test_labels, k: int = 10) -> float | list[float]:
     """Cosine k-nearest-neighbor majority-vote accuracy.
 
     Neighbor order breaks similarity ties by index; vote ties go to the
-    smallest label. Labels may be arbitrary integers.
+    smallest label. Labels may be arbitrary integers. 1-D labels give one
+    float. (n, c) labels give a list of c floats: the neighbors are found
+    once and each column votes on its own, as a 1-D call on it would.
     """
     train_n = _unit_rows(train_emb, "probe train embeddings")
     test_n = _unit_rows(test_emb, "probe test embeddings")
@@ -121,19 +123,26 @@ def knn_probe(train_emb, train_labels, test_emb, test_labels, k: int = 10) -> fl
         raise ShapeMismatch("probe train and test dimension differ")
     train_labels = np.asarray(train_labels, dtype=np.int64)
     test_labels = np.asarray(test_labels, dtype=np.int64)
-    if train_labels.shape != (train_n.shape[0],) or test_labels.shape != (test_n.shape[0],):
-        raise ShapeMismatch("labels must be 1-D and match their embedding counts")
+    columns = train_labels.shape[1:]
+    if (train_labels.ndim not in (1, 2) or train_labels.shape != (train_n.shape[0], *columns)
+            or test_labels.shape != (test_n.shape[0], *columns)):
+        raise ShapeMismatch("labels must be 1-D or 2-D and match their embedding counts")
     if k < 1 or k > train_n.shape[0]:
         raise DegenerateInput(f"k must lie in [1, {train_n.shape[0]}]")
 
-    uniq, inv = np.unique(train_labels, return_inverse=True)
+    if not columns:
+        train_labels, test_labels = train_labels[:, None], test_labels[:, None]
     sims = test_n @ train_n.T
     order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    votes = inv[order]
-    pred = np.empty(test_n.shape[0], dtype=np.int64)
-    for i in range(test_n.shape[0]):
-        pred[i] = uniq[np.argmax(np.bincount(votes[i], minlength=uniq.size))]
-    return float(np.mean(pred == test_labels))
+    rows = np.arange(test_n.shape[0])[:, None]
+    accuracies = []
+    for train_col, test_col in zip(train_labels.T, test_labels.T):
+        uniq, inv = np.unique(train_col, return_inverse=True)
+        # one bincount over (test row, label) cells; argmax takes the smallest label of a tie
+        votes = np.bincount((rows * uniq.size + inv[order]).ravel(), minlength=rows.size * uniq.size)
+        pred = uniq[votes.reshape(-1, uniq.size).argmax(axis=1)]
+        accuracies.append(float(np.mean(pred == test_col)))
+    return accuracies if columns else accuracies[0]
 
 
 def ndcg_binary(ranking, relevant, depth: int | None = None) -> float:

@@ -1,22 +1,34 @@
 """Encoded gallery: every listing's photo-set and text embedding, saved once.
 
-A Gallery holds a dataset's int64 listing ids and its photo-set, text and
-multimodal rows, the three things ``search`` can rank by. ``embed`` encodes
-one from a checkpoint and records; ``train`` saves it as ``gallery.blg``
-beside the checkpoint it has just written. ``search`` and ``eval`` use the
-saved gallery only when its content key equals a fresh hash of their own
-inputs, so an absent, stale or corrupt gallery simply means calling ``embed``
-again: the cache can change speed, never a result or an error.
+A Gallery holds a dataset's int64 listing ids, where its train split ends,
+its attribute labels, and its photo-set, text and multimodal rows: all that
+``search`` ranks by and all that ``eval`` scores. ``embed`` encodes one from
+a checkpoint and the two splits' records; ``train`` saves it as
+``gallery.blg`` beside the checkpoint it has just written. ``search`` and
+``eval`` use the saved gallery only when its content key equals a fresh hash
+of their own inputs, so an absent, stale or corrupt gallery simply means
+calling ``embed`` again: the cache can change speed, never a result or an
+error.
+
+A hit reads no dataset file at all: it trusts that the inputs with this key
+passed the dataset validation ``train`` ran before writing the gallery. So
+any tightening of that validation (a line ``synth.load_split`` used to accept
+and now rejects) must bump GALLERY_VERSION, or a gallery of a dataset that no
+longer loads would still serve ``search`` and ``eval``.
 
 The content key is a sha256 over GALLERY_VERSION and, for the checkpoint and
 each file in synth.SPLIT_FILES (in that order), its name, its length and
 its bytes. Names and lengths are hashed so that bytes moved from one file to
 the next cannot keep the key.
 
-Format: magic "BLGAL001", the 32-byte key, i64 n and d, n i64 ids, the (n, d)
-photo-set and text embeddings as float64, then a u32 zlib.crc32 of every byte
-before it, little-endian. Float64, unlike every other container, because a
-gallery must give ``search`` and ``eval`` the exact bits of a fresh encode.
+Format: magic "BLGAL002", the 32-byte key, i64 n, d and n_train, n i64 ids,
+the (n, len(synth.ATTRIBUTE_NAMES)) i64 labels in ATTRIBUTE_NAMES order, the
+(n, d) photo-set and text embeddings as float64, then a u32 zlib.crc32 of
+every byte before it, little-endian. Rows [0, n_train) are the train split
+and the rest the holdout, with 1 <= n_train < n. Float64, unlike every other
+container, because a gallery must give ``search`` and ``eval`` the exact bits
+of a fresh encode. The multimodal rows are not stored: building them costs
+little more than reading and checksumming them would.
 """
 
 from __future__ import annotations
@@ -30,21 +42,25 @@ import numpy as np
 
 from . import model, synth
 from ._fileio import Reader, atomic_write_bytes, with_crc32
+from .errors import CorruptFile
 
 __all__ = ["GALLERY_FILE", "GALLERY_VERSION", "Gallery", "embed", "content_key",
            "save_gallery", "load_gallery", "write_beside", "cached"]
 
-GALLERY_MAGIC = b"BLGAL001"
+GALLERY_MAGIC = b"BLGAL002"
 GALLERY_FILE = "gallery.blg"
-# Bump whenever the encoders' output bits change, so that galleries encoded by
-# older code stop matching; tests/test_gallery.py pins those bits per version.
-GALLERY_VERSION = 1
+# Bump whenever the encoders' output bits, the format or the dataset validation
+# change, so that galleries written by older code stop matching;
+# tests/test_gallery.py pins the encoder bits per version.
+GALLERY_VERSION = 2
 
 @dataclass(frozen=True)
 class Gallery:
-    ids: np.ndarray    # (n,) int64, train rows then holdout rows
-    photo: np.ndarray  # (n, d) photo-set embeddings
-    text: np.ndarray   # (n, d) text embeddings
+    ids: np.ndarray     # (n,) int64, train rows then holdout rows
+    n_train: int        # rows [0, n_train) are the train split
+    labels: np.ndarray  # (n, len(synth.ATTRIBUTE_NAMES)) int64 attributes
+    photo: np.ndarray   # (n, d) photo-set embeddings
+    text: np.ndarray    # (n, d) text embeddings
 
     @functools.cached_property
     def multimodal(self) -> np.ndarray:
@@ -55,10 +71,14 @@ class Gallery:
         return np.where(safe[:, None], mixed / np.where(safe, norms, 1.0)[:, None], self.photo)
 
 
-def embed(ps, te, records) -> Gallery:
-    """Every record's id and its photo-set and text embedding, one row each."""
+def embed(ps, te, train, holdout) -> Gallery:
+    """Every record's id, labels and photo-set and text embedding, train rows first."""
+    records = [*train, *holdout]
     photos, counts = synth.pack_photos(records)
     return Gallery(ids=np.array([r.id for r in records], dtype=np.int64),
+                   n_train=len(train),
+                   labels=np.array([[r.attributes[a] for a in synth.ATTRIBUTE_NAMES] for r in records],
+                                   dtype=np.int64),
                    photo=model.encode_photoset_batch(ps, photos, counts),
                    text=model.encode_text(te, synth.pack_texts(records)))
 
@@ -78,7 +98,8 @@ def content_key(model_path: str, data_dir: str) -> bytes:
 
 def save_gallery(path: str, key: bytes, gallery: Gallery) -> None:
     n, d = gallery.photo.shape
-    head = np.array([n, d], dtype="<i8").tobytes() + np.asarray(gallery.ids, dtype="<i8").tobytes()
+    head = b"".join(np.asarray(a, dtype="<i8").tobytes()
+                    for a in ([n, d, gallery.n_train], gallery.ids, gallery.labels))
     body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (gallery.photo, gallery.text))
     atomic_write_bytes(path, with_crc32(GALLERY_MAGIC + key + head + body))
 
@@ -87,17 +108,21 @@ def load_gallery(path: str) -> tuple[bytes, Gallery]:
     """(content key, gallery); anything save_gallery would not write is CorruptFile."""
     r = Reader(path, GALLERY_MAGIC, checksum=True)
     key = r.raw(32)
-    n, d = (int(v) for v in r.i64(2))
-    gallery = Gallery(ids=r.i64(n), photo=r.f64((n, d)), text=r.f64((n, d)))
+    n, d, n_train = (int(v) for v in r.i64(3))
+    if not 1 <= n_train < n:
+        raise CorruptFile(f"{path}: n_train {n_train} outside [1, {n})")
+    gallery = Gallery(ids=r.i64(n), n_train=n_train,
+                      labels=r.view("<i8", (n, len(synth.ATTRIBUTE_NAMES))),
+                      photo=r.f64((n, d)), text=r.f64((n, d)))
     r.end()
     return key, gallery
 
 
-def write_beside(model_path: str, data_dir: str, records) -> None:
-    """Encode records with the checkpoint as saved and write the gallery beside it."""
+def write_beside(model_path: str, data_dir: str, train, holdout) -> None:
+    """Encode both splits with the checkpoint as saved and write the gallery beside it."""
     ps, te, _extra = model.load_checkpoint(model_path)
     path = os.path.join(os.path.dirname(model_path), GALLERY_FILE)
-    save_gallery(path, content_key(model_path, data_dir), embed(ps, te, records))
+    save_gallery(path, content_key(model_path, data_dir), embed(ps, te, train, holdout))
 
 
 def cached(model_path: str, data_dir: str) -> Gallery | None:

@@ -11,7 +11,8 @@ Datasets persist as a JSONL index plus binary embedding sidecars; floats are
 stored as float32. A directory ``gen`` writes holds a ``train`` and a
 ``holdout`` dataset; SPLIT_FILES lists every file ``load_split`` reads from it.
 Both splits carry a ``generator.json``, but only ``train/generator.json`` is read.
-Listing ids are int64: an index line whose id is outside that range is corrupt.
+Listing ids and attribute values are int64: an index line with either outside
+that range is corrupt.
 """
 
 from __future__ import annotations
@@ -333,8 +334,9 @@ def _index_entry(line: str, row: int, p_max: int, where: str) -> dict:
     values = [*attrs.values(), *(v for v in meta.values() if v is not attrs)]
     if meta != expected or not all(type(v) is int for v in values):
         raise CorruptFile(f"{where}: not the index line save_dataset writes for row {row}")
-    if not -(2**63) <= meta["id"] < 2**63:
-        raise CorruptFile(f"{where}: id {meta['id']} outside int64")
+    for name, value in (("id", meta["id"]), *meta["attributes"].items()):
+        if not -(2**63) <= value < 2**63:
+            raise CorruptFile(f"{where}: {name} {value} outside int64")
     if not 1 <= meta["photo_count"] <= p_max:
         raise CorruptFile(f"{where}: photo_count {meta['photo_count']} outside [1, {p_max}]")
     return meta

@@ -96,9 +96,8 @@ def trained_runs():
     runs = {}
     for seed in SEEDS:
         train_recs, holdout_recs = standard_dataset(seed)
-        everything = train_recs + holdout_recs
         ps0, te0 = standard_towers(seed)
-        untrained = gallery.embed(ps0, te0, everything)
+        untrained = gallery.embed(ps0, te0, train_recs, holdout_recs)
         ps, te = standard_towers(seed)
         started = time.time()
         result = align.train(
@@ -106,7 +105,7 @@ def trained_runs():
             align.LossConfig(kind="infonce"), two_stage_schedule(seed),
         )
         elapsed = time.time() - started
-        trained = gallery.embed(ps, te, everything)
+        trained = gallery.embed(ps, te, train_recs, holdout_recs)
         runs[seed] = TrainedRun(
             seed=seed, train_records=train_recs, holdout_records=holdout_recs,
             ps=ps, te=te, result=result, ps_emb=trained.photo, tx_emb=trained.text,
@@ -127,7 +126,7 @@ def single_stage_mean_ranks():
             train_recs, holdout_recs, ps, te,
             align.LossConfig(kind="infonce"), single_stage_schedule(seed),
         )
-        embedded = gallery.embed(ps, te, train_recs + holdout_recs)
+        embedded = gallery.embed(ps, te, train_recs, holdout_recs)
         q = np.arange(len(train_recs), len(train_recs) + len(holdout_recs))
         m = evalmod.retrieval_metrics(embedded.text, embedded.photo, ks=(1,), query_indices=q)
         ranks[seed] = m.mean_rank_t2i

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import listalign
-from listalign import cli, codec as codecmod, config as configmod, gallery, model, synth
+from listalign import cli, codec as codecmod, config as configmod, eval as evalmod, gallery, model, synth
 from listalign._fileio import json_text
 from listalign.cli import main
 from listalign.errors import ConfigError
@@ -177,6 +177,28 @@ def test_ndcg_counts_each_query_once_when_ids_repeat(workspace, tmp_path):
     (key,) = [k for k in retrieval["repeated"] if k.startswith("ndcg_t2i@")]
     assert 0.0 <= retrieval["repeated"][key] <= 1.0
     assert retrieval["repeated"][key] == retrieval["unique"][key]  # no score ties: same rankings
+
+
+# small integer embeddings tie scores exactly, and ids drawn from a few values repeat
+_ndcg_case = st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), min_size=n, max_size=n),
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+    st.integers(1, n + 1),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ndcg_case)
+def test_rank_count_ndcg_is_ndcg_binary_of_the_lexsort_order(case):
+    tx, ps, ids, depth = case
+    tx, ps, ids = np.array(tx, dtype=np.float64), np.array(ps, dtype=np.float64), np.array(ids)
+    for i in range(len(ids)):
+        order = np.lexsort((ids, -(tx[i] @ ps.T)))
+        assert cli._mean_ndcg(tx, ps, ids, [i], depth) == evalmod.ndcg_binary(order, {i}, depth=depth)
+    expected = np.mean([evalmod.ndcg_binary(np.lexsort((ids, -(tx[i] @ ps.T))), {i}, depth=depth)
+                        for i in range(len(ids))])
+    assert cli._mean_ndcg(tx, ps, ids, range(len(ids)), depth) == float(expected)
 
 
 def test_search_prints_ranked_ids(workspace, capsys):
@@ -470,6 +492,7 @@ MALFORMED_DATASETS = {
     "text-rows": _drop_last_row("text.emb"),
     "latent-rows": _drop_last_row("latent.emb"),
     "id-beyond-int64": _edit_index_line(lambda m: {**m, "id": 2**63}),
+    "attribute-beyond-int64": _edit_index_line(lambda m: {**m, "attributes": {**m["attributes"], "density": 2**70}}),
     "float-row": _edit_index_line(lambda m: {**m, "row": 1.0}),  # == 1, the row of the edited line
     "bool-count": _edit_index_line(lambda m: {**m, "photo_count": True}),  # == 1, a count in range
     "wide-train-text": _widen("train", "text.emb"),

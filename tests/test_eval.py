@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listalign import eval as evalmod
 from listalign.errors import DegenerateInput, ShapeMismatch
@@ -148,6 +150,8 @@ def test_knn_probe_vote_tie_prefers_smallest_label():
     test = np.array([[1.0, 1.0]])  # equidistant from both neighbors
     acc = evalmod.knn_probe(train, labels, test, np.array([3]), k=2)
     assert acc == 1.0
+    # each label column breaks its own tie: 5 against 3 goes to 3, 7 against -2 to -2
+    assert evalmod.knn_probe(train, [[5, 7], [3, -2]], test, [[3, -2]], k=2) == [1.0, 1.0]
 
 
 def test_knn_probe_validation():
@@ -159,6 +163,46 @@ def test_knn_probe_validation():
         evalmod.knn_probe(x, y, x, y, k=0)
     with pytest.raises(ShapeMismatch):
         evalmod.knn_probe(x, y[:2], x, y)
+    columns = np.stack([y, y], axis=1)
+    for train_labels, test_labels in ((columns, columns[:, :1]), (columns, y), (y, columns),
+                                      (columns[:, :, None], columns[:, :, None])):
+        with pytest.raises(ShapeMismatch):
+            evalmod.knn_probe(x, train_labels, x, test_labels)
+
+
+def _probe_one_row_at_a_time(train, train_labels, test, test_labels, k):
+    """A kNN probe as written before columns shared one neighbor order: its own
+    sort and one bincount per test row."""
+    train = train / np.linalg.norm(train, axis=1)[:, None]
+    test = test / np.linalg.norm(test, axis=1)[:, None]
+    uniq, inv = np.unique(np.asarray(train_labels, dtype=np.int64), return_inverse=True)
+    votes = inv[np.argsort(-(test @ train.T), axis=1, kind="stable")[:, :k]]
+    pred = np.array([uniq[np.argmax(np.bincount(row, minlength=uniq.size))] for row in votes])
+    return float(np.mean(pred == np.asarray(test_labels)))
+
+
+# rows drawn from a few small integer vectors repeat, so similarities tie exactly;
+# the leading 1 keeps every row nonzero
+_rows = st.lists(st.tuples(st.just(1), st.integers(-1, 2), st.integers(-1, 1)), min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), train=_rows, test=_rows, n_columns=st.integers(1, 4))
+def test_probe_label_columns_share_one_neighbor_order(data, train, test, n_columns):
+    k = data.draw(st.integers(1, len(train)))
+    labels = st.integers(-3, 9)  # not starting at 0, with gaps, and few enough to tie votes
+    train_labels = np.array(data.draw(st.lists(st.lists(labels, min_size=n_columns, max_size=n_columns),
+                                               min_size=len(train), max_size=len(train))))
+    test_labels = np.array(data.draw(st.lists(st.lists(labels, min_size=n_columns, max_size=n_columns),
+                                              min_size=len(test), max_size=len(test))))
+    train, test = np.array(train, dtype=np.float64), np.array(test, dtype=np.float64)
+    together = evalmod.knn_probe(train, train_labels, test, test_labels, k=k)
+    one_by_one = [evalmod.knn_probe(train, train_labels[:, j], test, test_labels[:, j], k=k)
+                  for j in range(n_columns)]
+    assert isinstance(together, list) and all(type(acc) is float for acc in one_by_one)
+    assert together == one_by_one == [
+        _probe_one_row_at_a_time(train, train_labels[:, j], test, test_labels[:, j], k)
+        for j in range(n_columns)]
 
 
 # ---------------------------------------------------------------------------

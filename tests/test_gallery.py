@@ -1,6 +1,6 @@
 """Encoded gallery: train writes gallery.blg, and search and eval reuse it only
 when its content key matches their inputs, with the uncached path's exact
-output otherwise."""
+output otherwise; a hit reads no dataset file."""
 
 import builtins
 import contextlib
@@ -32,7 +32,7 @@ TINY_CONFIG = {
     },
 }
 
-# 10 listings, 2-d embeddings: a 460-byte gallery, small enough to flip every bit
+# 10 listings, 2-d embeddings: a 708-byte gallery, small enough to flip every bit
 SMALL_CONFIG = {
     "generator": {"n_listings": 10, "d_latent": 2, "d_photo": 3, "d_text": 3, "p_max": 3, "seed": 3},
     "filters": {"min_photos": 1, "min_text_len": 10},
@@ -109,11 +109,15 @@ def test_train_writes_gallery_of_the_saved_checkpoint(pipe):
     data, run = pipe["data"], pipe["run"]
     key, stored = gallery.load_gallery(str(run / gallery.GALLERY_FILE))
     assert key == gallery.content_key(str(run / "checkpoint.blm"), str(data))
-    records = synth.load_dataset(str(data / "train")) + synth.load_dataset(str(data / "holdout"))
+    train, holdout, _ = synth.load_split(str(data))
     ps, te, _ = model.load_checkpoint(str(run / "checkpoint.blm"))
-    fresh = gallery.embed(ps, te, records)
+    fresh = gallery.embed(ps, te, train, holdout)
     assert stored.ids.tolist() == fresh.ids.tolist() == pipe["ids"]
     assert stored.ids.dtype == fresh.ids.dtype == np.int64
+    assert stored.n_train == fresh.n_train == len(train)
+    labels = [[r.attributes[a] for a in synth.ATTRIBUTE_NAMES] for r in train + holdout]
+    assert stored.labels.tolist() == fresh.labels.tolist() == labels
+    assert stored.labels.dtype == fresh.labels.dtype == np.int64
     assert stored.photo.dtype == np.float64 and np.array_equal(stored.photo, fresh.photo)
     assert np.array_equal(stored.text, fresh.text)
     assert np.array_equal(stored.multimodal, fresh.multimodal)
@@ -121,10 +125,16 @@ def test_train_writes_gallery_of_the_saved_checkpoint(pipe):
 
 def test_gallery_file_layout(pipe):
     raw = (pipe["run"] / gallery.GALLERY_FILE).read_bytes()
+    train, holdout, _ = synth.load_split(str(pipe["data"]))
     n, d = len(pipe["ids"]), TINY_CONFIG["set_encoder"]["d_out"]
-    assert raw[:8] == b"BLGAL001"
-    assert len(raw) == 8 + 32 + 16 + 8 * n + 2 * 8 * n * d + 4
-    assert np.frombuffer(raw[40:56], dtype="<i8").tolist() == [n, d]
+    a = len(synth.ATTRIBUTE_NAMES)
+    assert raw[:8] == b"BLGAL002"
+    assert len(raw) == 8 + 32 + 24 + 8 * n + 8 * n * a + 2 * 8 * n * d + 4
+    assert np.frombuffer(raw[40:64], dtype="<i8").tolist() == [n, d, len(train)]
+    assert np.frombuffer(raw[64:64 + 8 * n], dtype="<i8").tolist() == pipe["ids"]
+    labels = np.frombuffer(raw[64 + 8 * n:64 + 8 * n * (1 + a)], dtype="<i8").reshape(n, a)
+    assert labels.tolist() == [[r.attributes[name] for name in synth.ATTRIBUTE_NAMES]
+                               for r in train + holdout]
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +190,9 @@ def test_repeated_id_resolves_to_its_last_row(pipe, tmp_path):
     first_id = json.loads(lines[0])["id"]
     lines[-1] = json.dumps({**json.loads(lines[-1]), "id": first_id}, sort_keys=True)
     index.write_text("\n".join(lines) + "\n")
-    records = synth.load_dataset(str(data / "train")) + synth.load_dataset(str(data / "holdout"))
-    gallery.write_beside(str(run / "checkpoint.blm"), str(data), records)
+    train, holdout, _ = synth.load_split(str(data))
+    records = train + holdout
+    gallery.write_beside(str(run / "checkpoint.blm"), str(data), train, holdout)
     g = gallery.cached(str(run / "checkpoint.blm"), str(data))
     assert g is not None
     for modality in MODALITIES:
@@ -200,7 +211,8 @@ def test_repeated_id_resolves_to_its_last_row(pipe, tmp_path):
 def test_multimodal_keeps_the_photo_row_where_photo_and_text_cancel():
     photo = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]])
     text = np.array([[-0.6, -0.8], [0.0, 1.0], [0.0, 1.0]])
-    g = gallery.Gallery(ids=np.arange(3), photo=photo, text=text)
+    g = gallery.Gallery(ids=np.arange(3), n_train=2, labels=np.zeros((3, 3), dtype=np.int64),
+                        photo=photo, text=text)
     half = np.sqrt(0.5)
     np.testing.assert_array_equal(g.multimodal[0], photo[0])
     np.testing.assert_allclose(g.multimodal[1:], [[half, half], [0.0, 1.0]])
@@ -218,10 +230,10 @@ def test_hit_neither_parses_the_dataset_nor_encodes(pipe, tmp_path, monkeypatch)
 
     for name in ("load_checkpoint", "encode_photoset_batch", "encode_text"):
         monkeypatch.setattr(model, name, refuse)
-    # eval needs the records for its probes, so only search loses the dataset
+    monkeypatch.setattr(synth, "load_dataset", refuse)
+    # the gallery carries eval's split and probe labels, so neither stage loads the dataset
     assert _outcome("eval", data, run / "checkpoint.blm", tmp_path / "e2", ("--sweep", "2,4")) \
         == expected_eval
-    monkeypatch.setattr(synth, "load_dataset", refuse)
     assert _outcome("search", data, run / "checkpoint.blm", tmp_path / "s2", argv) == expected_search
 
 
@@ -294,7 +306,7 @@ def test_every_bit_flip_or_cut_of_a_small_gallery_misses(tmp_path):
     data, run = _pipeline(tmp_path / "small", SMALL_CONFIG)
     ckpt, path = run / "checkpoint.blm", run / gallery.GALLERY_FILE
     raw = path.read_bytes()
-    assert len(raw) == 460 and gallery.cached(str(ckpt), str(data)) is not None
+    assert len(raw) == 708 and gallery.cached(str(ckpt), str(data)) is not None
     expected = _hit_and_miss("search", data, run, tmp_path / "ref", "--query-id", 1)[1]
     misses = 0
     for bit in range(8 * len(raw)):
@@ -318,7 +330,7 @@ def test_every_bit_flip_or_cut_of_a_small_gallery_misses(tmp_path):
 def test_hit_arrays_are_read_only_views_and_serve_unchanged(pipe, tmp_path):
     data, run = pipe["data"], pipe["run"]
     hit = gallery.cached(str(run / "checkpoint.blm"), str(data))
-    for array in (hit.ids, hit.photo, hit.text):
+    for array in (hit.ids, hit.labels, hit.photo, hit.text):
         assert not array.flags.writeable and not array.flags.owndata
     # a stage that wrote into a view would fail on the hit and not on the miss
     for modality in MODALITIES:
@@ -330,17 +342,28 @@ def test_hit_arrays_are_read_only_views_and_serve_unchanged(pipe, tmp_path):
     assert hit_out[0] == 0 and hit_out == miss_out
 
 
-@pytest.mark.parametrize("n, d", [
-    (2**63 - 1, None), (None, 2**63 - 1), (2**62, None), (None, 2**62), (0, 2**63 - 1),
-    (-1, None), (None, -1), (-(2**63), None), (None, -(2**63)),
-])
-def test_impossible_gallery_shape_is_a_miss(pipe, tmp_path, n, d):
+# (n, d, n_train) header values, None keeping the file's own and "n" meaning n:
+# the shapes no file holds, then the n_train values save_gallery never writes
+IMPOSSIBLE_HEADERS = [
+    (2**63 - 1, None, None), (None, 2**63 - 1, None), (2**62, None, None), (None, 2**62, None),
+    (0, 2**63 - 1, None), (-1, None, None), (None, -1, None), (-(2**63), None, None),
+    (None, -(2**63), None),
+    (None, None, 0), (None, None, -1), (None, None, "n"), (None, None, 2**63 - 1),
+    (None, None, -(2**63)),
+]
+
+
+@pytest.mark.parametrize("n, d, n_train", IMPOSSIBLE_HEADERS, ids=[
+    f"{n}-{d}" if n_train is None else f"n_train={n_train}" for n, d, n_train in IMPOSSIBLE_HEADERS])
+def test_impossible_gallery_shape_is_a_miss(pipe, tmp_path, n, d, n_train):
     data, run = _copy_layout(pipe, tmp_path)
     path = run / gallery.GALLERY_FILE
     raw = path.read_bytes()[:-4]
-    old_n, old_d = np.frombuffer(raw[40:56], dtype="<i8").tolist()
-    shape = np.array([old_n if n is None else n, old_d if d is None else d], dtype="<i8")
-    path.write_bytes(with_crc32(raw[:40] + shape.tobytes() + raw[56:]))  # a valid checksum
+    old = np.frombuffer(raw[40:64], dtype="<i8").tolist()
+    header = [old[j] if value is None else old[0] if value == "n" else value
+              for j, value in enumerate((n, d, n_train))]
+    # a valid checksum, so only the header can make the file a miss
+    path.write_bytes(with_crc32(raw[:40] + np.array(header, dtype="<i8").tobytes() + raw[64:]))
     with pytest.raises(CorruptFile):
         gallery.load_gallery(str(path))
     assert gallery.cached(str(run / "checkpoint.blm"), str(data)) is None
@@ -373,7 +396,9 @@ def test_content_key_is_the_documented_sha256(pipe):
 # bump GALLERY_VERSION, so that galleries written by older code stop matching,
 # and pin the new hash under the new version. The pin was taken with numpy's
 # bundled OpenBLAS on x86-64; another BLAS or CPU may round differently.
-ENCODER_BITS = {1: "381b94ea41f1899380ca1c00fe9e960aff8c5f50450b250301ce9a09491be343"}
+# Version 2 changed the file format, not the encoders, so its bits are version 1's.
+ENCODER_BITS = {1: "381b94ea41f1899380ca1c00fe9e960aff8c5f50450b250301ce9a09491be343",
+                2: "381b94ea41f1899380ca1c00fe9e960aff8c5f50450b250301ce9a09491be343"}
 
 
 def test_encoder_bits_are_pinned_to_the_gallery_version():
