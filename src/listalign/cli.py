@@ -9,7 +9,7 @@ the failing stage's own code: 3 train, 4 quantize, 5 eval and report, 6 search
 Artifacts are written atomically and contain no timestamps, so a rerun with
 the same inputs produces byte-identical files. ``train`` also writes the
 encoded gallery beside its checkpoint. ``search`` and ``eval`` take their
-embeddings, and ``eval`` its split and probe labels, from one
+embeddings, and ``eval`` its split, probe labels and sweep basis, from one
 gallery.Gallery: the saved one when its content key matches their inputs,
 otherwise a fresh ``gallery.embed`` (see gallery.py). So a hit reads no
 dataset file and loads no checkpoint.
@@ -248,7 +248,7 @@ def cmd_eval(args) -> int:
     if dims:
         sweep = evalmod.pca_dim_sweep(
             tx_emb, ps_emb, dims=dims, ks=ks,
-            query_indices=query_rows, quantize=args.quantize_sweep,
+            query_indices=query_rows, quantize=args.quantize_sweep, basis=g.basis,
         )
 
     write_json(args.out, dataclasses.asdict(evalmod.EvalReport(retrieval=retrieval, probe=probe, sweep=sweep)))

@@ -17,8 +17,9 @@ them, and perfbench/tracing.py times them by name.
 Trained codec parameters are rounded to float32 before use so that the values in
 memory equal the values on disk; encoding after a save/load round-trip is
 bit-identical to encoding before it. A codec checks itself wherever it is built,
-by its trainer, a caller or load_codec: dims its trainer does not write, a
-non-finite parameter or a scale not above 0 is DegenerateInput.
+by its trainer, a caller or load_codec: dims its trainer does not write, an
+array not of the shape its class's shapes (the rule read follows) gives for
+those dims, a non-finite parameter or a scale not above 0 is DegenerateInput.
 
 PQ encoding picks, per subspace, the centroid with the smallest
 ||c||^2 - 2 x.c (linalg._nearest; ties go to the lowest index) from a score
@@ -135,12 +136,24 @@ def _codes(block: CodeBlock, width: int, who: str, k: int = 256) -> np.ndarray:
 
 
 def _check(codec, ok: bool) -> None:
-    """DegenerateInput unless ok (dims its trainer writes) and every saved array is finite."""
+    """DegenerateInput unless ok (dims its trainer writes), every saved array has
+    the shape read gives it and every saved array is finite."""
     header, arrays = codec.layout()
+    name = type(codec).__name__
     if not ok:
-        raise DegenerateInput(f"{type(codec).__name__}: dims {header} are not ones {codec.trainer} writes")
+        raise DegenerateInput(f"{name}: dims {header} are not ones {codec.trainer} writes")
+    shapes = tuple(np.shape(a) for a in arrays)
+    if shapes != codec.shapes(*header):
+        raise DegenerateInput(f"{name}: array shapes {shapes} are not ones {codec.trainer} writes "
+                              f"for dims {header}")
     if not all(np.isfinite(a).all() for a in arrays):
-        raise DegenerateInput(f"{type(codec).__name__}: non-finite parameter")
+        raise DegenerateInput(f"{name}: non-finite parameter")
+
+
+def _read_parts(cls, r: Reader, n_dims: int) -> tuple[tuple, list]:
+    """n_dims u32 dims, then the float32 arrays cls.shapes gives those dims."""
+    header = tuple(r.u32() for _ in range(n_dims))
+    return header, [r.f32(shape) for shape in cls.shapes(*header)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +201,14 @@ class PqCodebook:
     def layout(self):
         return (self.dim, self.m, self.k, self.sub_dim), (self.codebooks,)
 
+    @staticmethod
+    def shapes(dim, m, k, sub_dim):
+        return ((m, k, sub_dim),)
+
     @classmethod
     def read(cls, r: Reader) -> PqCodebook:
-        dim, m, k, sub_dim = (r.u32() for _ in range(4))
-        return cls(dim, m, k, sub_dim, r.f32((m, k, sub_dim)))
+        header, (codebooks,) = _read_parts(cls, r, 4)
+        return cls(*header, codebooks)
 
 
 def _pad_columns(x: np.ndarray, width: int) -> np.ndarray:
@@ -317,11 +334,14 @@ class OpqCodec:
         header = (self.input_dim, self.rotated_dim, pq.m, pq.k, pq.sub_dim)
         return header, (self.rotation, pq.codebooks)
 
+    @staticmethod
+    def shapes(input_dim, rotated_dim, m, k, sub_dim):
+        return (rotated_dim, rotated_dim), (m, k, sub_dim)
+
     @classmethod
     def read(cls, r: Reader) -> OpqCodec:
-        input_dim, rotated_dim, m, k, sub_dim = (r.u32() for _ in range(5))
-        rotation = r.f32((rotated_dim, rotated_dim))
-        pq = PqCodebook(m * sub_dim, m, k, sub_dim, r.f32((m, k, sub_dim)))  # OPQ's rule judges rotated_dim
+        (input_dim, rotated_dim, m, k, sub_dim), (rotation, codebooks) = _read_parts(cls, r, 5)
+        pq = PqCodebook(m * sub_dim, m, k, sub_dim, codebooks)  # OPQ's rule judges rotated_dim
         return cls(input_dim, rotated_dim, rotation, pq)
 
 
@@ -426,10 +446,13 @@ class ScalarQuantizer:
     def layout(self):
         return (self.dim,), (self.mins, self.scales)
 
+    @staticmethod
+    def shapes(dim):
+        return (dim,), (dim,)
+
     @classmethod
     def read(cls, r: Reader) -> ScalarQuantizer:
-        dim = r.u32()
-        return cls(r.f32((dim,)), r.f32((dim,)))
+        return cls(*_read_parts(cls, r, 1)[1])
 
 
 def scalar_train(x) -> ScalarQuantizer:
@@ -488,11 +511,14 @@ class PcaCodec:
         arrays = (pca.mean, pca.components, pca.explained_variance, q.mins, q.scales)
         return (self.input_dim, self.out_dim), arrays
 
+    @staticmethod
+    def shapes(input_dim, out_dim):
+        return (input_dim,), (out_dim, input_dim), (out_dim,), (out_dim,), (out_dim,)
+
     @classmethod
     def read(cls, r: Reader) -> PcaCodec:
-        input_dim, out_dim = r.u32(), r.u32()
-        pca = PcaModel(r.f32((input_dim,)), r.f32((out_dim, input_dim)), r.f32((out_dim,)))
-        return cls(input_dim, out_dim, pca, ScalarQuantizer(r.f32((out_dim,)), r.f32((out_dim,))))
+        (input_dim, out_dim), (mean, components, variance, mins, scales) = _read_parts(cls, r, 2)
+        return cls(input_dim, out_dim, PcaModel(mean, components, variance), ScalarQuantizer(mins, scales))
 
 
 def pca_codec_train(x, out_dim: int) -> PcaCodec:

@@ -24,6 +24,7 @@ __all__ = [
     "retrieval_metrics",
     "knn_probe",
     "ndcg_binary",
+    "sweep_basis",
     "pca_dim_sweep",
     "EvalReport",
 ]
@@ -109,6 +110,20 @@ def retrieval_metrics(text_emb, photo_emb, ks=(1, 5, 10), query_indices=None) ->
     )
 
 
+def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) indices of each row's k largest entries, in row-major order.
+
+    These are the columns np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    holds, found without a sort: every entry above the row's k-th largest,
+    then the lowest-index entries equal to it (+0.0 equals -0.0, as in a sort).
+    """
+    kth = np.partition(sims, sims.shape[1] - k, axis=1)[:, -k, None]
+    above = sims > kth
+    tied = sims == kth
+    tied &= np.cumsum(tied, axis=1) <= k - np.count_nonzero(above, axis=1)[:, None]
+    return np.nonzero(above | tied)
+
+
 def knn_probe(train_emb, train_labels, test_emb, test_labels, k: int = 10) -> float | list[float]:
     """Cosine k-nearest-neighbor majority-vote accuracy.
 
@@ -132,14 +147,13 @@ def knn_probe(train_emb, train_labels, test_emb, test_labels, k: int = 10) -> fl
 
     if not columns:
         train_labels, test_labels = train_labels[:, None], test_labels[:, None]
-    sims = test_n @ train_n.T
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    rows = np.arange(test_n.shape[0])[:, None]
+    rows, neighbors = _top_k(test_n @ train_n.T, k)
+    n_test = test_n.shape[0]
     accuracies = []
     for train_col, test_col in zip(train_labels.T, test_labels.T):
         uniq, inv = np.unique(train_col, return_inverse=True)
         # one bincount over (test row, label) cells; argmax takes the smallest label of a tie
-        votes = np.bincount((rows * uniq.size + inv[order]).ravel(), minlength=rows.size * uniq.size)
+        votes = np.bincount(rows * uniq.size + inv[neighbors], minlength=n_test * uniq.size)
         pred = uniq[votes.reshape(-1, uniq.size).argmax(axis=1)]
         accuracies.append(float(np.mean(pred == test_col)))
     return accuracies if columns else accuracies[0]
@@ -169,6 +183,17 @@ def ndcg_binary(ranking, relevant, depth: int | None = None) -> float:
     return float(dcg / idcg)
 
 
+def sweep_basis(text_emb, photo_emb) -> np.ndarray:
+    """The (min(2n, d), d) PCA basis of the pooled rows [text; photo].
+
+    pca_fit's sign rule acts per row, so the first m rows have the bits of
+    pca_fit(pooled, m).components. gallery.Gallery.basis stores it, so a
+    warm pca_dim_sweep takes a prefix instead of refitting.
+    """
+    pooled = np.vstack([text_emb, photo_emb])
+    return pca_fit(pooled, min(pooled.shape)).components
+
+
 def pca_dim_sweep(
     text_emb,
     photo_emb,
@@ -176,14 +201,16 @@ def pca_dim_sweep(
     ks=(1, 5, 10),
     query_indices=None,
     quantize: bool = False,
+    basis=None,
 ) -> list:
     """Retrieval quality as a function of projected dimension.
 
-    Fits a PCA basis on the pooled rows of both towers, then applies the
-    rotation only (no centering) so the full-rank projection is an isometry and
-    reproduces the unprojected metrics. With quantize=True each projected
-    matrix additionally round-trips through the 8-bit scalar codec before
-    scoring. Returns one row dict per dimension.
+    Projects onto the first m rows of the pooled PCA basis, sweep_basis of the
+    two towers (fitted here when basis is None; ``eval`` passes the gallery's),
+    applying the rotation only (no centering) so the full-rank projection is
+    an isometry and reproduces the unprojected metrics. With quantize=True
+    each projected matrix additionally round-trips through the 8-bit scalar
+    codec before scoring. Returns one row dict per dimension.
     """
     text_emb = np.asarray(text_emb, dtype=np.float64)
     photo_emb = np.asarray(photo_emb, dtype=np.float64)
@@ -193,8 +220,10 @@ def pca_dim_sweep(
     dims = tuple(int(m) for m in dims)
     if any(m < 1 or m > d for m in dims):
         raise DegenerateInput(f"each sweep dim must lie in [1, {d}]")
-    pooled = np.vstack([text_emb, photo_emb])
-    basis = pca_fit(pooled, max(dims)).components  # rows orthonormal
+    if basis is None:
+        basis = sweep_basis(text_emb, photo_emb)  # rows orthonormal
+    if max(dims) > len(basis):  # fewer pooled rows than columns: pca_fit's own refusal
+        raise DegenerateInput(f"pca_fit: k={max(dims)} outside [1, min(n={2 * len(text_emb)}, d={d})]")
 
     rows = []
     for m in dims:

@@ -1,8 +1,9 @@
 """Encoded gallery: every listing's photo-set and text embedding, saved once.
 
 A Gallery holds a dataset's int64 listing ids, where its train split ends,
-its attribute labels, and its photo-set, text and multimodal rows: all that
-``search`` ranks by and all that ``eval`` scores. ``embed`` encodes one from
+its attribute labels, its photo-set, text and multimodal rows and the PCA
+basis of its pooled text and photo rows: all that ``search`` ranks by and all
+that ``eval`` scores and sweeps. ``embed`` encodes one from
 a checkpoint and the two splits' records; ``train`` saves it as
 ``gallery.blg`` beside the checkpoint it has just written. ``search`` and
 ``eval`` use the saved gallery only when its content key equals a fresh hash
@@ -21,14 +22,18 @@ each file in synth.SPLIT_FILES (in that order), its name, its length and
 its bytes. Names and lengths are hashed so that bytes moved from one file to
 the next cannot keep the key.
 
-Format: magic "BLGAL002", the 32-byte key, i64 n, d and n_train, n i64 ids,
+Format: magic "BLGAL003", the 32-byte key, i64 n, d and n_train, n i64 ids,
 the (n, len(synth.ATTRIBUTE_NAMES)) i64 labels in ATTRIBUTE_NAMES order, the
-(n, d) photo-set and text embeddings as float64, then a u32 zlib.crc32 of
-every byte before it, little-endian. Rows [0, n_train) are the train split
-and the rest the holdout, with 1 <= n_train < n. Float64, unlike every other
+(n, d) photo-set and text embeddings as float64, the (min(2n, d), d) float64
+eval.sweep_basis of the text and photo rows, then a u32 zlib.crc32 of every
+byte before it, little-endian. Rows [0, n_train) are the train split and the
+rest the holdout, with 1 <= n_train < n. Float64, unlike every other
 container, because a gallery must give ``search`` and ``eval`` the exact bits
-of a fresh encode. The multimodal rows are not stored: building them costs
-little more than reading and checksumming them would.
+of a fresh encode. The basis is stored because it is an SVD that every
+``eval --sweep`` would otherwise redo on the same rows; ``search`` never
+needs it, so a gallery built on a miss computes it only when ``eval`` asks.
+The multimodal rows are not stored: building them costs little more than
+reading and checksumming them would.
 """
 
 from __future__ import annotations
@@ -40,19 +45,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, synth
+from . import eval as evalmod, model, synth
 from ._fileio import Reader, atomic_write_bytes, with_crc32
 from .errors import CorruptFile
 
 __all__ = ["GALLERY_FILE", "GALLERY_VERSION", "Gallery", "embed", "content_key",
            "save_gallery", "load_gallery", "write_beside", "cached"]
 
-GALLERY_MAGIC = b"BLGAL002"
+GALLERY_MAGIC = b"BLGAL003"
 GALLERY_FILE = "gallery.blg"
 # Bump whenever the encoders' output bits, the format or the dataset validation
 # change, so that galleries written by older code stop matching;
 # tests/test_gallery.py pins the encoder bits per version.
-GALLERY_VERSION = 2
+GALLERY_VERSION = 3
 
 @dataclass(frozen=True)
 class Gallery:
@@ -69,6 +74,11 @@ class Gallery:
         norms = np.linalg.norm(mixed, axis=1)
         safe = norms > 1e-12
         return np.where(safe[:, None], mixed / np.where(safe, norms, 1.0)[:, None], self.photo)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """(min(2n, d), d) eval.sweep_basis of the text and photo rows; load_gallery reads it."""
+        return evalmod.sweep_basis(self.text, self.photo)
 
 
 def embed(ps, te, train, holdout) -> Gallery:
@@ -100,7 +110,8 @@ def save_gallery(path: str, key: bytes, gallery: Gallery) -> None:
     n, d = gallery.photo.shape
     head = b"".join(np.asarray(a, dtype="<i8").tobytes()
                     for a in ([n, d, gallery.n_train], gallery.ids, gallery.labels))
-    body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (gallery.photo, gallery.text))
+    body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                    for a in (gallery.photo, gallery.text, gallery.basis))
     atomic_write_bytes(path, with_crc32(GALLERY_MAGIC + key + head + body))
 
 
@@ -114,6 +125,7 @@ def load_gallery(path: str) -> tuple[bytes, Gallery]:
     gallery = Gallery(ids=r.i64(n), n_train=n_train,
                       labels=r.view("<i8", (n, len(synth.ATTRIBUTE_NAMES))),
                       photo=r.f64((n, d)), text=r.f64((n, d)))
+    vars(gallery)["basis"] = r.f64((min(2 * n, d), d))  # where the cached property keeps its value
     r.end()
     return key, gallery
 

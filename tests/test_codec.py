@@ -350,6 +350,14 @@ class TestSelfCheck:
         "scalar-scale-neg": lambda: codec.ScalarQuantizer(np.zeros(2), np.array([1.0, -1.0])),
         "pca-out-dim": lambda: _pca(input_dim=1, out_dim=2, mean=(0.0,)),
         "pca-nan": lambda: _pca(mean=(0.0, np.nan)),
+        # arrays not shaped as read would give them for the dims: save_codec would
+        # write a file that load_codec refuses as truncated
+        "pq-books-shape": lambda: _pq(books=np.zeros((2, 3, 2))),  # k=4 centroids per subspace
+        "opq-rotation-shape": lambda: codec.OpqCodec(4, 4, np.eye(3), _pq()),
+        "scalar-scales-shape": lambda: codec.ScalarQuantizer(np.zeros(2), np.ones(3)),
+        "pca-components-shape": lambda: codec.PcaCodec(
+            2, 1, PcaModel(np.zeros(2), np.eye(1, 3), np.ones(1)),
+            codec.ScalarQuantizer(np.zeros(1), np.ones(1))),
     }
 
     @pytest.mark.parametrize("case", list(BROKEN))

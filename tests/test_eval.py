@@ -205,6 +205,33 @@ def test_probe_label_columns_share_one_neighbor_order(data, train, test, n_colum
         for j in range(n_columns)]
 
 
+def test_top_k_keeps_the_stable_sort_set_under_signed_zero_ties():
+    """A gemm of unit rows gives no -0.0, so the selection is checked on its own:
+    +0.0 and -0.0 are equal, and the lower columns among them are kept."""
+    sims = np.array([[0.5, -0.0, 0.0, -0.0, 0.0, -0.2],
+                     [-0.0, -0.0, 0.0, 0.3, 0.0, 0.0],
+                     [0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+                     [-0.2, -0.0, -0.1, 0.0, 0.7, -0.0]])
+    rows, cols = evalmod._top_k(sims, 3)
+    assert rows.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+    assert cols.tolist() == [0, 1, 2, 0, 1, 3, 0, 1, 2, 1, 3, 4]
+    for k in range(1, sims.shape[1] + 1):
+        rows, cols = evalmod._top_k(sims, k)
+        kept = np.sort(np.argsort(-sims, axis=1, kind="stable")[:, :k], axis=1)
+        assert rows.tolist() == np.repeat(np.arange(len(sims)), k).tolist()
+        assert cols.tolist() == kept.ravel().tolist()
+
+
+def test_knn_probe_with_k_equal_to_the_train_count_polls_every_row():
+    train = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]])
+    test = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    labels = np.array([[4, 2], [4, 9], [1, 2], [1, 9], [1, 9]])
+    assert evalmod.knn_probe(train, labels, test, [[1, 9], [1, 2], [4, 9]], k=5) == [2 / 3, 2 / 3]
+    for j in range(2):
+        assert evalmod.knn_probe(train, labels[:, j], test, [1, 1, 4], k=5) == \
+            _probe_one_row_at_a_time(train, labels[:, j], test, [1, 1, 4], 5)
+
+
 # ---------------------------------------------------------------------------
 # dimension sweep
 # ---------------------------------------------------------------------------
@@ -240,6 +267,20 @@ def test_sweep_rejects_bad_dims():
         evalmod.pca_dim_sweep(x, x, dims=(6,))
     with pytest.raises(DegenerateInput):
         evalmod.pca_dim_sweep(x, x, dims=(0,))
+
+
+def test_sweep_on_a_given_basis_has_the_bits_of_a_fit():
+    rng = np.random.default_rng(8)
+    t, p = rng.normal(size=(6, 16)), rng.normal(size=(6, 16))
+    basis = evalmod.sweep_basis(t, p)
+    assert basis.shape == (12, 16)  # 2n pooled rows under d columns
+    for dims in ((2, 5), (12,), (3, 12, 1)):
+        for quantize in (False, True):
+            fitted = evalmod.pca_dim_sweep(t, p, dims, ks=(1, 3), quantize=quantize)
+            assert evalmod.pca_dim_sweep(t, p, dims, ks=(1, 3), quantize=quantize, basis=basis) == fitted
+    for given in (None, basis):  # a dim above the basis's rows fails as pca_fit does
+        with pytest.raises(DegenerateInput, match=r"^pca_fit: k=13 outside \[1, min\(n=12, d=16\)\]$"):
+            evalmod.pca_dim_sweep(t, p, (2, 13), basis=given)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Encoded gallery: train writes gallery.blg, and search and eval reuse it only
 when its content key matches their inputs, with the uncached path's exact
-output otherwise; a hit reads no dataset file."""
+output otherwise; a hit reads no dataset file and refits no sweep basis."""
 
 import builtins
 import contextlib
@@ -13,7 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
-from listalign import cli, gallery, model, synth
+from listalign import cli, eval as evalmod, gallery, linalg, model, synth
 from listalign._fileio import with_crc32
 from listalign.errors import CorruptFile
 
@@ -32,7 +32,7 @@ TINY_CONFIG = {
     },
 }
 
-# 10 listings, 2-d embeddings: a 708-byte gallery, small enough to flip every bit
+# 10 listings, 2-d embeddings: a 740-byte gallery, small enough to flip every bit
 SMALL_CONFIG = {
     "generator": {"n_listings": 10, "d_latent": 2, "d_photo": 3, "d_text": 3, "p_max": 3, "seed": 3},
     "filters": {"min_photos": 1, "min_text_len": 10},
@@ -121,6 +121,7 @@ def test_train_writes_gallery_of_the_saved_checkpoint(pipe):
     assert stored.photo.dtype == np.float64 and np.array_equal(stored.photo, fresh.photo)
     assert np.array_equal(stored.text, fresh.text)
     assert np.array_equal(stored.multimodal, fresh.multimodal)
+    assert stored.basis.dtype == np.float64 and np.array_equal(stored.basis, fresh.basis)
 
 
 def test_gallery_file_layout(pipe):
@@ -128,13 +129,43 @@ def test_gallery_file_layout(pipe):
     train, holdout, _ = synth.load_split(str(pipe["data"]))
     n, d = len(pipe["ids"]), TINY_CONFIG["set_encoder"]["d_out"]
     a = len(synth.ATTRIBUTE_NAMES)
-    assert raw[:8] == b"BLGAL002"
-    assert len(raw) == 8 + 32 + 24 + 8 * n + 8 * n * a + 2 * 8 * n * d + 4
+    assert 2 * n > d  # so the basis block holds d rows
+    assert raw[:8] == b"BLGAL003"
+    assert len(raw) == 8 + 32 + 24 + 8 * n + 8 * n * a + 2 * 8 * n * d + 8 * d * d + 4
     assert np.frombuffer(raw[40:64], dtype="<i8").tolist() == [n, d, len(train)]
     assert np.frombuffer(raw[64:64 + 8 * n], dtype="<i8").tolist() == pipe["ids"]
     labels = np.frombuffer(raw[64 + 8 * n:64 + 8 * n * (1 + a)], dtype="<i8").reshape(n, a)
     assert labels.tolist() == [[r.attributes[name] for name in synth.ATTRIBUTE_NAMES]
                                for r in train + holdout]
+    rows = np.frombuffer(raw[64 + 8 * n * (1 + a):-4], dtype="<f8")
+    photo, text, basis = rows[:n * d].reshape(n, d), rows[n * d:2 * n * d].reshape(n, d), rows[2 * n * d:]
+    assert np.array_equal(basis.reshape(d, d), evalmod.sweep_basis(text, photo))
+
+
+def test_basis_prefixes_are_pca_fits_of_their_width(pipe):
+    g = gallery.load_gallery(str(pipe["run"] / gallery.GALLERY_FILE))[1]
+    pooled = np.vstack([g.text, g.photo])
+    assert g.basis.shape == (min(pooled.shape), g.text.shape[1])
+    for m in range(1, len(g.basis) + 1):
+        assert np.array_equal(g.basis[:m], linalg.pca_fit(pooled, m).components)
+
+
+def test_basis_of_fewer_rows_than_columns(tmp_path):
+    """With 2n < d the basis holds 2n rows, and a wider sweep dim fails as pca_fit did."""
+    config = {**SMALL_CONFIG,
+              "generator": {**SMALL_CONFIG["generator"], "n_listings": 4},
+              "split": {"holdout_fraction": 0.25, "seed": 1},
+              "set_encoder": {"d_model": 4, "n_layers": 1, "n_heads": 1, "d_out": 12},
+              "schedule": {**SMALL_CONFIG["schedule"], "batch_size": 2}}
+    data, run = _pipeline(tmp_path / "wide", config)
+    g = gallery.cached(str(run / "checkpoint.blm"), str(data))
+    assert g.basis.shape == (8, 12)
+    hit, miss = _hit_and_miss("eval", data, run, tmp_path / "fits", "--sweep", "2,8")
+    assert hit == miss and hit[0] == 0
+    for dims, k in (("12", 12), ("2,9", 9)):
+        hit, miss = _hit_and_miss("eval", data, run, tmp_path / dims, "--sweep", dims)
+        assert hit == miss and hit[:3] == (5, "", f"evaluation failed: pca_fit: k={k} outside "
+                                                 "[1, min(n=8, d=12)]\n")
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +268,22 @@ def test_hit_neither_parses_the_dataset_nor_encodes(pipe, tmp_path, monkeypatch)
     assert _outcome("search", data, run / "checkpoint.blm", tmp_path / "s2", argv) == expected_search
 
 
+def test_eval_hit_and_any_search_run_no_svd(pipe, tmp_path, monkeypatch):
+    data, run = pipe["data"], pipe["run"]
+    argv = ("--query-id", pipe["ids"][1], "--modality", "text")
+    sweep = ("--sweep", "2,8", "--quantize-sweep")
+    expected_search = _hit_and_miss("search", data, run, tmp_path / "s", *argv)[1]
+    expected_eval = _hit_and_miss("eval", data, run, tmp_path / "e", *sweep)[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no basis should be fitted here")
+
+    monkeypatch.setattr(evalmod, "pca_fit", refuse)
+    hit, miss = _hit_and_miss("search", data, run, tmp_path / "s2", *argv)
+    assert hit == miss == expected_search and hit[0] == 0
+    assert _outcome("eval", data, run / "checkpoint.blm", tmp_path / "e2", sweep) == expected_eval
+
+
 # ---------------------------------------------------------------------------
 # anything stale, corrupt or unreadable takes the uncached path
 # ---------------------------------------------------------------------------
@@ -306,7 +353,7 @@ def test_every_bit_flip_or_cut_of_a_small_gallery_misses(tmp_path):
     data, run = _pipeline(tmp_path / "small", SMALL_CONFIG)
     ckpt, path = run / "checkpoint.blm", run / gallery.GALLERY_FILE
     raw = path.read_bytes()
-    assert len(raw) == 708 and gallery.cached(str(ckpt), str(data)) is not None
+    assert len(raw) == 740 and gallery.cached(str(ckpt), str(data)) is not None
     expected = _hit_and_miss("search", data, run, tmp_path / "ref", "--query-id", 1)[1]
     misses = 0
     for bit in range(8 * len(raw)):
@@ -330,7 +377,7 @@ def test_every_bit_flip_or_cut_of_a_small_gallery_misses(tmp_path):
 def test_hit_arrays_are_read_only_views_and_serve_unchanged(pipe, tmp_path):
     data, run = pipe["data"], pipe["run"]
     hit = gallery.cached(str(run / "checkpoint.blm"), str(data))
-    for array in (hit.ids, hit.labels, hit.photo, hit.text):
+    for array in (hit.ids, hit.labels, hit.photo, hit.text, hit.basis):
         assert not array.flags.writeable and not array.flags.owndata
     # a stage that wrote into a view would fail on the hit and not on the miss
     for modality in MODALITIES:
@@ -396,9 +443,11 @@ def test_content_key_is_the_documented_sha256(pipe):
 # bump GALLERY_VERSION, so that galleries written by older code stop matching,
 # and pin the new hash under the new version. The pin was taken with numpy's
 # bundled OpenBLAS on x86-64; another BLAS or CPU may round differently.
-# Version 2 changed the file format, not the encoders, so its bits are version 1's.
+# Versions 2 and 3 changed only the file format, not the encoders, so their
+# bits are version 1's.
 ENCODER_BITS = {1: "381b94ea41f1899380ca1c00fe9e960aff8c5f50450b250301ce9a09491be343",
-                2: "381b94ea41f1899380ca1c00fe9e960aff8c5f50450b250301ce9a09491be343"}
+                2: "381b94ea41f1899380ca1c00fe9e960aff8c5f50450b250301ce9a09491be343",
+                3: "381b94ea41f1899380ca1c00fe9e960aff8c5f50450b250301ce9a09491be343"}
 
 
 def test_encoder_bits_are_pinned_to_the_gallery_version():

@@ -7,14 +7,15 @@ The command set runs in a temporary directory with BLAS on one thread:
 ``gen``; ``train`` at the default config, ``set_encoder.pool: "mean"``,
 ``loss.kind: "siglip"`` and ``schedule.grad_accum: 2``; ``quantize`` for
 every ``codec.KINDS`` entry; per trained checkpoint, on the saved gallery and
-on a copy of the checkpoint without one, ``eval --sweep --quantize-sweep
---sweep-csv``, ``report`` of that eval and ``search`` in all three
-modalities: 49 commands and 113 outputs with four codec kinds. Each file
-written is one output, and so is each command's stdout (``<name>.stdout``);
-a command that fails stops the run. A change that must keep every
-artifact's bytes runs ``--against`` a checkout of its parent: no line
-printed means no difference, and the exit code is 1 when any output
-differs.
+on a copy of the checkpoint without one, ``eval --sweep 2,8,16,64
+--quantize-sweep --sweep-csv`` (64 being the default width, the last dim
+projects onto every row of the sweep basis), ``report`` of that eval and
+``search`` in all three modalities: 49 commands and 113 outputs with four
+codec kinds. Each file written is one output, and so is each command's
+stdout (``<name>.stdout``); a command that fails stops the run. A change
+that must keep every artifact's bytes runs ``--against`` a checkout of its
+parent: no line printed means no difference, and the exit code is 1 when
+any output differs.
 
 Exact hashes depend on the host's BLAS and CPU, so compare two trees on one
 host; this is not a test.
@@ -91,7 +92,7 @@ def run_commands(tree: str, work: str) -> dict[str, str]:
         shutil.copy(os.path.join(work, out, "checkpoint.blm"), os.path.join(work, miss))
         for name, where in ((label, out), (miss, miss)):
             cli(f"eval-{name}", "eval", "--data", "data", "--model", f"{where}/checkpoint.blm",
-                "--sweep", "2,8,16", "--quantize-sweep", "--sweep-csv", f"eval-{name}.csv",
+                "--sweep", "2,8,16,64", "--quantize-sweep", "--sweep-csv", f"eval-{name}.csv",
                 "--out", f"eval-{name}.json", "--quiet")
             cli(f"report-{name}", "report", f"eval-{name}.json")
         for modality in MODALITIES:
