@@ -41,6 +41,10 @@ def snapshot(tag):
     print(f"{tag}: recall@1 {m.recall_t2i[1]:.3f}  recall@5 {m.recall_t2i[5]:.3f}"
           f"  mean rank {m.mean_rank_t2i:.2f} of {m.n_gallery}")
 
+# align.LOSS_HEADS holds the contrastive heads; this run takes the softmax one.
+# train updates ps and te in place and returns TrainResult(loss, log): the
+# head's learned loss scalars and the per-step and per-epoch log.
+print(f"loss heads: {', '.join(align.LOSS_HEADS)}; training with infonce")
 snapshot("before training")
 result = align.train(train_records, holdout_records, ps, te,
                      align.LossConfig(kind="infonce"), schedule)
@@ -53,6 +57,6 @@ for row in result.log.epochs:
         print(f"  epoch {row['epoch']:2d} (stage {row['stage']}):"
               f" loss {row['train_loss']:.3f}  mean rank {row['mean_rank_t2i']:.2f}")
 
-temp = result.loss_params.temperature()
+temp = align.temperature(result.loss)
 print()
 print(f"learned softmax temperature: {temp:.4f} (started at {1 / 14:.4f})")

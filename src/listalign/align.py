@@ -1,12 +1,13 @@
 """Contrastive alignment training: losses, optimizer, and the two-stage driver.
 
-Two loss heads are available. The softmax head scales the cosine logit matrix
-by a learnable inverse temperature (initialized to 14) and averages row-wise
-and column-wise cross-entropy against the diagonal. The sigmoid head scores
-every pair independently: mean over all B^2 entries of
+LOSS_HEADS maps each LossConfig.kind to its initial "loss.*" scalars and its
+loss. The softmax head ("infonce") scales the cosine logit matrix by a
+learnable inverse temperature (initialized to 14) and averages row-wise and
+column-wise cross-entropy against the diagonal. The sigmoid head ("siglip")
+scores every pair independently: mean over all B^2 entries of
 log(1 + exp(-z_ij * (t * logit_ij + b))) with z = +1 on the diagonal and -1 off
-it, t initialized to 10 and b to -10. Temperatures are parameterized through an
-exponential so they stay positive.
+it, t initialized to 10 and b to -10. Each head's first scalar is the log of
+its logit multiplier, keeping it positive; temperature() reads that scalar.
 
 Training runs staged: each stage sets its own learning rate and its own set of
 unfrozen text-tower layers (the set encoder always trains). Adam uses decoupled
@@ -14,8 +15,8 @@ weight decay, linear warmup, and cosine decay over a shared step counter.
 Everything is deterministic for a fixed schedule seed.
 
 A parameter set is one ordered dict[str, Var]. train builds it once from the
-set encoder's tensors, the text tower's, then the loss scalars (named
-"loss.*"), and model.backward, init_adam_state and adam_step all take it, so
+set encoder's tensors, the text tower's, then the loss scalars, and trains it
+in place; model.backward, init_adam_state and adam_step all take it, so
 gradients, moments and updates follow that one order.
 
 init_adam_state packs the set into one contiguous float64 arena and rebinds
@@ -44,8 +45,9 @@ from .synth import pack_photos, pack_texts
 
 __all__ = [
     "LossConfig",
-    "LossParams",
+    "LOSS_HEADS",
     "create_loss_params",
+    "temperature",
     "infonce_loss",
     "siglip_loss",
     "compute_loss",
@@ -68,41 +70,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LossConfig:
-    kind: str = "infonce"  # "infonce" or "siglip"
+    kind: str = "infonce"  # a LOSS_HEADS key
     init_inv_temp: float = 14.0  # softmax head: logits are multiplied by this
     init_t: float = 10.0         # sigmoid head multiplier
     init_b: float = -10.0        # sigmoid head bias
 
     def __post_init__(self) -> None:
-        if self.kind not in ("infonce", "siglip"):
-            raise ConfigError(f"loss kind must be 'infonce' or 'siglip', got {self.kind!r}")
+        if self.kind not in LOSS_HEADS:
+            kinds = " or ".join(repr(k) for k in LOSS_HEADS)
+            raise ConfigError(f"loss kind must be {kinds}, got {self.kind!r}")
         if self.init_inv_temp <= 0 or self.init_t <= 0:
             raise ConfigError("loss temperature initializers must be positive")
-
-
-@dataclass
-class LossParams:
-    """Trainable loss scalars, exponential-parameterized where positivity matters."""
-
-    kind: str
-    tensors: dict[str, Var]
-
-    def temperature(self) -> float:
-        """Current temperature (the softmax divisor, or 1/t for the sigmoid head)."""
-        if self.kind == "infonce":
-            return float(np.exp(-self.tensors["loss.log_inv_temp"].value))
-        return float(np.exp(-self.tensors["loss.log_t"].value))
-
-
-def create_loss_params(config: LossConfig) -> LossParams:
-    if config.kind == "infonce":
-        tensors = {"loss.log_inv_temp": ad.param(np.log(config.init_inv_temp))}
-    else:
-        tensors = {
-            "loss.log_t": ad.param(np.log(config.init_t)),
-            "loss.bias": ad.param(np.float64(config.init_b)),
-        }
-    return LossParams(kind=config.kind, tensors=tensors)
 
 
 def _check_logits(logits, min_b: int) -> Var:
@@ -145,13 +123,33 @@ def siglip_loss(logits, temperature=1.0, bias=0.0) -> Var:
     return (-ad.log_sigmoid(signs * scaled)).mean()
 
 
-def compute_loss(params: LossParams, logits) -> Var:
-    """Loss for a logit matrix under the trainable loss scalars."""
-    if params.kind == "infonce":
-        temp = ad.exp(-params.tensors["loss.log_inv_temp"])
-        return infonce_loss(logits, temperature=temp)
-    t = ad.exp(params.tensors["loss.log_t"])
-    return siglip_loss(logits, temperature=t, bias=params.tensors["loss.bias"])
+# kind -> (initial loss.* scalars from a LossConfig, loss of a logit matrix
+# given those scalars as Vars); each head's first scalar is its log multiplier
+LOSS_HEADS = {
+    "infonce": (
+        lambda c: {"loss.log_inv_temp": np.log(c.init_inv_temp)},
+        lambda s, logits: infonce_loss(logits, temperature=ad.exp(-s["loss.log_inv_temp"])),
+    ),
+    "siglip": (
+        lambda c: {"loss.log_t": np.log(c.init_t), "loss.bias": np.float64(c.init_b)},
+        lambda s, logits: siglip_loss(logits, temperature=ad.exp(s["loss.log_t"]), bias=s["loss.bias"]),
+    ),
+}
+
+
+def create_loss_params(config: LossConfig) -> dict[str, Var]:
+    """The trainable loss scalars of config's head, in the head's order."""
+    return {name: ad.param(value) for name, value in LOSS_HEADS[config.kind][0](config).items()}
+
+
+def temperature(scalars: dict[str, Var]) -> float:
+    """1 / the head's logit multiplier: the softmax divisor, or 1/t for sigmoid."""
+    return float(np.exp(-next(iter(scalars.values())).value))
+
+
+def compute_loss(kind: str, scalars: dict[str, Var], logits) -> Var:
+    """Loss of a logit matrix under the kind's trainable loss scalars."""
+    return LOSS_HEADS[kind][1](scalars, logits)
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +177,17 @@ class AdamState:
     """Adam's moments over one parameter arena.
 
     arena holds every tensor of a parameter set back to back in the set's
-    order, and each Var.value is a view of it. m_flat and v_flat are the
-    moments with the same offsets; m[name] and v[name] are their views, and
-    spans[name] is a tensor's (start, stop) in all three. work holds two
-    rows of the arena's length, kept so that a step allocates nothing: the
-    gradients in the same layout, which the update then overwrites, and a
-    scratch row.
+    order, and each Var.value is a view of it. m and v are the moments with
+    the same offsets, and spans[name] is a tensor's (start, stop) in all
+    three. work holds two rows of the arena's length, kept so that a step
+    allocates nothing: the gradients in the same layout, which the update
+    then overwrites, and a scratch row.
     """
 
     arena: np.ndarray
     spans: dict[str, tuple[int, int]]
-    m_flat: np.ndarray
-    v_flat: np.ndarray
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     work: np.ndarray
 
 
@@ -204,16 +199,13 @@ def init_adam_state(params: dict[str, Var]) -> AdamState:
     for name, var in params.items():
         spans[name] = (size, size + var.value.size)
         size += var.value.size
-    arena, m_flat, v_flat = np.empty(size), np.zeros(size), np.zeros(size)
-    m, v = {}, {}
+    arena = np.empty(size)
     for name, var in params.items():
         lo, hi = spans[name]
         shape = var.value.shape
         arena[lo:hi] = var.value.ravel()
         var.value = arena[lo:hi].reshape(shape)
-        m[name] = m_flat[lo:hi].reshape(shape)
-        v[name] = v_flat[lo:hi].reshape(shape)
-    return AdamState(arena=arena, spans=spans, m_flat=m_flat, v_flat=v_flat, m=m, v=v,
+    return AdamState(arena=arena, spans=spans, m=np.zeros(size), v=np.zeros(size),
                      work=np.empty((2, size)))
 
 
@@ -268,7 +260,7 @@ def adam_step(params: dict[str, Var], grads: dict[str, np.ndarray], state: AdamS
     bc2 = 1.0 - hyper.beta2**t
     for lo, hi in runs:
         g, tmp = state.work[:, lo:hi]
-        m, v, x = state.m_flat[lo:hi], state.v_flat[lo:hi], state.arena[lo:hi]
+        m, v, x = state.m[lo:hi], state.v[lo:hi], state.arena[lo:hi]
         # m = beta1 * m + (1 - beta1) * g
         m *= hyper.beta1
         np.multiply(g, 1.0 - hyper.beta1, out=tmp)
@@ -351,9 +343,7 @@ class TrainLog:
 
 @dataclass
 class TrainResult:
-    ps: modelmod.SetEncoderParams
-    te: modelmod.TextTowerParams
-    loss_params: LossParams
+    loss: dict[str, Var]  # the trained loss scalars; the towers train in place
     log: TrainLog
 
 
@@ -383,11 +373,12 @@ def train(
     loss_config: LossConfig,
     schedule: TrainSchedule,
 ) -> TrainResult:
-    """Run the staged schedule; returns the trained towers, loss scalars, and log.
+    """Run the staged schedule, training ps and te in place; returns the trained
+    loss scalars and the log.
 
     Per optimizer step the log records loss, learning rate, and gradient norm;
     per epoch it records holdout retrieval metrics (holdout queries ranked
-    against the full train+holdout gallery). An empty schedule returns the
+    against the full train+holdout gallery). An empty schedule leaves the
     parameters untouched.
     """
     n = len(train_records)
@@ -398,8 +389,8 @@ def train(
     for stage in schedule.stages:  # fail fast on bad layer indices
         modelmod.set_text_freeze(te, stage.unfreeze_text_layers)
 
-    loss_params = create_loss_params(loss_config)
-    params = {**ps.tensors, **te.tensors, **loss_params.tensors}
+    scalars = create_loss_params(loss_config)
+    params = {**ps.tensors, **te.tensors, **scalars}
     state = init_adam_state(params)
     log = TrainLog()
 
@@ -431,7 +422,7 @@ def train(
                     idx = order[b * schedule.batch_size : (b + 1) * schedule.batch_size]
                     logits, tape = modelmod.forward_batch(ps, te, photos[idx], counts[idx], texts[idx])
                     with tape:
-                        loss = compute_loss(loss_params, logits)
+                        loss = compute_loss(loss_config.kind, scalars, logits)
                     batch_grads = modelmod.backward(tape, loss, params)
                     losses.append(float(loss.value))
                     grads = batch_grads if grads is None else {
@@ -459,4 +450,4 @@ def train(
                 )
             log.epochs.append(epoch_row)
             epoch += 1
-    return TrainResult(ps=ps, te=te, loss_params=loss_params, log=log)
+    return TrainResult(loss=scalars, log=log)

@@ -152,9 +152,9 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     # the loss scalars ride along in the checkpoint payload under their own names
-    loss_extra = {name: var.value for name, var in result.loss_params.tensors.items()}
+    loss_extra = {name: var.value for name, var in result.loss.items()}
     checkpoint = os.path.join(args.out, "checkpoint.blm")
-    modelmod.save_checkpoint(checkpoint, result.ps, result.te, extra=loss_extra)
+    modelmod.save_checkpoint(checkpoint, ps, te, extra=loss_extra)
     result.log.save_jsonl(os.path.join(args.out, "trainlog.jsonl"))
     result.log.save_epoch_csv(os.path.join(args.out, "epochs.csv"))
     gallerymod.write_beside(checkpoint, args.data, train_recs, holdout_recs)

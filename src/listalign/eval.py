@@ -218,6 +218,8 @@ def pca_dim_sweep(
         raise ShapeMismatch("towers disagree on shape")
     d = text_emb.shape[1]
     dims = tuple(int(m) for m in dims)
+    if not dims:
+        raise DegenerateInput("a sweep needs at least one dim")
     if any(m < 1 or m > d for m in dims):
         raise DegenerateInput(f"each sweep dim must lie in [1, {d}]")
     if basis is None:

@@ -71,7 +71,7 @@ POS_INIT_STD = 0.1
 # Inference blocks: a photo block holds max(1, BLOCK_SLOTS // p_max) listings.
 # A text block holds max(1, BLOCK_FLOATS // widest text dim) rows, so its widest
 # temporary fits the budget of a photo block's widest one, the FFN hidden of
-# BLOCK_SLOTS slots at 4 x the default d_model of 64.
+# BLOCK_SLOTS slots at 4 x SetEncoderConfig's default d_model, 64 (the pipeline's is 32).
 BLOCK_SLOTS = 512
 BLOCK_FLOATS = BLOCK_SLOTS * 4 * 64
 

@@ -32,14 +32,14 @@ def _verdict(num, label, ok, detail):
 def _loss_only_errors(kind, seed):
     rng = np.random.default_rng(seed)
     logits = ad.param(rng.normal(size=(4, 4)))
-    loss_params = align.create_loss_params(align.LossConfig(kind=kind))
+    scalars = align.create_loss_params(align.LossConfig(kind=kind))
 
     def build():
         with ad.Tape() as tape:
-            loss = align.compute_loss(loss_params, logits * 1.0)
+            loss = align.compute_loss(kind, scalars, logits * 1.0)
         return loss, tape
 
-    return per_tensor_fd_errors(build, {"logits": logits, **loss_params.tensors}, h=1e-5)
+    return per_tensor_fd_errors(build, {"logits": logits, **scalars}, h=1e-5)
 
 
 def _full_path_errors(seed):
@@ -54,7 +54,7 @@ def _full_path_errors(seed):
     mix = np.random.default_rng(seed + 200)
     for var in [*ps.tensors.values(), *te.tensors.values()]:
         var.value = mix.normal(scale=0.7, size=var.value.shape)
-    loss_params = align.create_loss_params(align.LossConfig(kind="infonce"))
+    scalars = align.create_loss_params(align.LossConfig(kind="infonce"))
     rng = np.random.default_rng(seed + 100)
     counts = rng.integers(1, 4, size=4)
     photos = np.zeros((4, 3, 5))
@@ -65,17 +65,17 @@ def _full_path_errors(seed):
     def build():
         logits, tape = model.forward_batch(ps, te, photos, counts, texts)
         with tape:
-            loss = align.compute_loss(loss_params, logits)
+            loss = align.compute_loss("infonce", scalars, logits)
         return loss, tape
 
-    return per_tensor_fd_errors(build, {**ps.tensors, **te.tensors, **loss_params.tensors}, h=1e-5)
+    return per_tensor_fd_errors(build, {**ps.tensors, **te.tensors, **scalars}, h=1e-5)
 
 
 def test_criterion_01_gradient_correctness():
     started = time.time()
     worst = 0.0
     for seed in SEEDS:
-        for kind in ("infonce", "siglip"):
+        for kind in align.LOSS_HEADS:
             worst = max(worst, max(_loss_only_errors(kind, seed).values()))
         worst = max(worst, max(_full_path_errors(seed).values()))
     elapsed = time.time() - started

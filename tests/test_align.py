@@ -74,20 +74,45 @@ def test_loss_input_validation():
 def _loss_grad_errors(kind, seed):
     rng = np.random.default_rng(seed)
     raw = ad.param(rng.normal(size=(6, 6)))
-    loss_params = align.create_loss_params(align.LossConfig(kind=kind))
+    scalars = align.create_loss_params(align.LossConfig(kind=kind))
 
     def build():
         with ad.Tape() as tape:
-            loss = align.compute_loss(loss_params, raw * 1.0)
+            loss = align.compute_loss(kind, scalars, raw * 1.0)
         return loss, tape
 
-    return per_tensor_fd_errors(build, {"raw": raw, **loss_params.tensors}, h=1e-6)
+    return per_tensor_fd_errors(build, {"raw": raw, **scalars}, h=1e-6)
 
 
-@pytest.mark.parametrize("kind", ["infonce", "siglip"])
+@pytest.mark.parametrize("kind", align.LOSS_HEADS)
 def test_loss_gradients_match_finite_differences(kind):
     errors = _loss_grad_errors(kind, seed=3)
     assert max(errors.values()) < 1e-4, errors
+
+
+# each head written out as its composite, and its initial multiplier
+COMPOSITES = {
+    "infonce": (lambda s, L: align.infonce_loss(L, temperature=ad.exp(-s["loss.log_inv_temp"])),
+                lambda cfg: cfg.init_inv_temp),
+    "siglip": (lambda s, L: align.siglip_loss(L, temperature=ad.exp(s["loss.log_t"]), bias=s["loss.bias"]),
+               lambda cfg: cfg.init_t),
+}
+
+
+@pytest.mark.parametrize("kind", COMPOSITES)
+def test_loss_head_is_its_composite_bit_for_bit(kind):
+    cfg = align.LossConfig(kind=kind, init_inv_temp=7.0, init_t=3.5, init_b=-2.0)
+    logits = np.random.default_rng(11).normal(size=(5, 5))
+    runs = []
+    for loss_of in (lambda s, L: align.compute_loss(kind, s, L), COMPOSITES[kind][0]):
+        scalars = align.create_loss_params(cfg)
+        with ad.Tape() as tape:
+            loss = loss_of(scalars, ad.constant(logits))
+        runs.append((loss.value.tobytes(),
+                     {n: g.tobytes() for n, g in model.backward(tape, loss, scalars).items()}))
+    assert runs[0] == runs[1]
+    temp = align.temperature(align.create_loss_params(cfg))
+    assert temp == pytest.approx(1.0 / COMPOSITES[kind][1](cfg), rel=1e-15)
 
 
 def test_learnable_temperature_receives_gradient():
@@ -120,7 +145,7 @@ def test_adam_lr_zero_leaves_values_bitwise():
     before = var.value.copy()
     align.adam_step(params, {"w": np.ones((1, 2))}, state, align.AdamHyper(), 0, lr=0.0)
     np.testing.assert_array_equal(var.value, before)
-    assert state.m["w"].any()  # moments still advance
+    assert state.m.any()  # moments still advance
 
 
 def test_adam_skips_frozen_tensors_entirely():
@@ -131,7 +156,7 @@ def test_adam_skips_frozen_tensors_entirely():
     before = var.value.copy()
     align.adam_step(params, {"w": np.full(2, 9.0)}, state, align.AdamHyper(), 0, lr=0.5)
     np.testing.assert_array_equal(var.value, before)
-    assert not state.m["w"].any() and not state.v["w"].any()
+    assert not state.m.any() and not state.v.any()
 
 
 def test_learning_rate_schedule_shape():
@@ -179,7 +204,7 @@ def test_init_adam_state_packs_values_into_one_arena():
     for name, var in params.items():
         assert var.value.base is state.arena and var.value.shape == before[name].shape
         assert var.value.tobytes() == before[name].tobytes()
-        assert state.m[name].base is state.m_flat and state.v[name].base is state.v_flat
+    assert state.m.shape == state.v.shape == (18,)
     assert state.spans == {"a": (0, 12), "frozen": (12, 17), "s": (17, 18)}
 
 
@@ -202,10 +227,12 @@ def test_flat_adam_matches_the_per_tensor_formula_bitwise():
             values, m, v = ref[name]
             ref[name] = _reference_adam(values, grads[name], m, v, hyper, step + 1, lr)
     for name in ("a", "s"):
-        for got, want in zip((params[name].value, state.m[name], state.v[name]), ref[name]):
+        span = slice(*state.spans[name])
+        for got, want in zip((params[name].value, state.m[span], state.v[span]), ref[name]):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
     assert params["frozen"].value.tobytes() == frozen_before.tobytes()
-    assert not state.m["frozen"].any() and not state.v["frozen"].any()
+    frozen = slice(*state.spans["frozen"])
+    assert not state.m[frozen].any() and not state.v[frozen].any()
 
 
 def _ones_like(params):
@@ -260,7 +287,7 @@ def test_empty_schedule_is_identity():
     ps, te = _tiny_towers()
     before = {k: v.value.copy() for k, v in {**ps.tensors, **te.tensors}.items()}
     result = align.train(records, [], ps, te, align.LossConfig(), align.TrainSchedule(stages=(), batch_size=4))
-    for name, var in {**result.ps.tensors, **result.te.tensors}.items():
+    for name, var in {**ps.tensors, **te.tensors}.items():
         np.testing.assert_array_equal(var.value, before[name])
     assert result.log.steps == [] and result.log.epochs == []
 
@@ -314,7 +341,7 @@ def test_zero_text_row_trains_to_finite_parameters():
         stages=(align.TrainStage(epochs=2, lr=3e-3, unfreeze_text_layers=(0, 1)),), batch_size=8,
     )
     result = align.train(records, [], ps, te, align.LossConfig(), schedule)
-    for name, var in {**result.ps.tensors, **result.te.tensors, **result.loss_params.tensors}.items():
+    for name, var in {**ps.tensors, **te.tensors, **result.loss}.items():
         assert np.isfinite(var.value).all(), name
 
 
@@ -327,14 +354,13 @@ def test_training_is_deterministic():
             batch_size=4, seed=9, warmup_steps=2,
         )
         result = align.train(records[:8], records[8:], ps, te, align.LossConfig(), schedule)
-        return result
+        return {**ps.tensors, **te.tensors, **result.loss}, result.log
 
-    a, b = run(), run()
-    b_tensors = {**b.ps.tensors, **b.te.tensors}
-    for name, va in {**a.ps.tensors, **a.te.tensors}.items():
+    (a_tensors, a), (b_tensors, b) = run(), run()
+    for name, va in a_tensors.items():
         np.testing.assert_array_equal(va.value, b_tensors[name].value, err_msg=name)
-    assert a.log.steps == b.log.steps
-    assert a.log.epochs == b.log.epochs
+    assert a.steps == b.steps
+    assert a.epochs == b.epochs
 
 
 def test_gradient_accumulation_reduces_step_count():
@@ -380,7 +406,7 @@ def test_single_batch_overfit_reaches_perfect_recall():
     assert metrics.recall_i2t[1] == 1.0
     assert result.log.steps[-1]["loss"] < 0.2
     # the learnable scale moved off its initialization
-    assert abs(result.loss_params.temperature() - 1.0 / 14.0) > 1e-6
+    assert abs(align.temperature(result.loss) - 1.0 / 14.0) > 1e-6
 
 
 def test_siglip_training_also_learns():

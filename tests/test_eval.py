@@ -267,6 +267,8 @@ def test_sweep_rejects_bad_dims():
         evalmod.pca_dim_sweep(x, x, dims=(6,))
     with pytest.raises(DegenerateInput):
         evalmod.pca_dim_sweep(x, x, dims=(0,))
+    with pytest.raises(DegenerateInput, match="at least one dim"):
+        evalmod.pca_dim_sweep(x, x, dims=())
 
 
 def test_sweep_on_a_given_basis_has_the_bits_of_a_fit():

@@ -21,3 +21,10 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_align_exports_its_loss_heads():
+    from listalign import align
+
+    assert {"LOSS_HEADS", "create_loss_params", "compute_loss", "temperature"} <= set(align.__all__)
+    assert "LossParams" not in align.__all__

@@ -460,7 +460,7 @@ class TestForwardBatch:
         photos, counts = synth.pack_photos(records)
         logits, tape = model.forward_batch(ps, te, photos, counts, synth.pack_texts(records))
         with tape:
-            align.compute_loss(align.create_loss_params(pc.loss), logits)
+            align.compute_loss(pc.loss.kind, align.create_loss_params(pc.loss), logits)
         assert len(tape) <= 80
 
     def test_frozen_text_layers_get_zero_gradient(self):
