@@ -5,7 +5,8 @@ ConfigError or any OSError (a bad config, argument, or input or output path,
 including a corrupt or truncated input file, a missing --model, and a
 checkpoint whose input widths do not fit the dataset); otherwise
 the failing stage's own code: 3 train, 4 quantize, 5 eval and report, 6 search
-(an unknown listing id, or a corrupt or truncated search --model), 1 gen.
+(an unknown listing id, or a corrupt or truncated search --model), 1 gen. A
+stage that runs out of memory fails with its own code too.
 Artifacts are written atomically and contain no timestamps, so a rerun with
 the same inputs produces byte-identical files. ``train`` also writes the
 encoded gallery beside its checkpoint. ``search`` and ``eval`` take their
@@ -397,9 +398,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"path error: {exc}", file=sys.stderr)
         return 2
-    except ListalignError as exc:
+    except (ListalignError, MemoryError) as exc:
         label, code = args.failed
-        print(f"{label}: {exc}", file=sys.stderr)
+        cause = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"{label}: {cause}{exc}", file=sys.stderr)
         return code
 
 

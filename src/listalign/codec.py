@@ -27,6 +27,11 @@ table built once per codebook. Consecutive subspaces are scored in groups
 whose score array is about an L2 cache in size; each subspace is still its own
 gemm, so the grouping changes no code.
 
+OPQ rotates inputs zero-padded to rotated_dim, but spends nothing on the
+padding: encode, decode and the fit's rotation and Procrustes steps use only
+the first input_dim rows of the rotation, and the first PQ fit gives an
+all-zero subspace its all-zero codebook without k-means.
+
 File formats (little-endian):
 
     codec file      magic "BLCODEC1", kind u8, kind-specific u32 dims,
@@ -91,6 +96,7 @@ CODEC_MAGIC = b"BLCODEC1"
 EMB_MAGIC = b"BLEMB001"
 
 DEFAULT_LEVELS = (0.05, 0.25, 0.50, 0.75, 0.90, 0.99)
+U32_MAX = 2**32 - 1  # widest dim a codec file holds
 
 
 def _f32(a: np.ndarray) -> np.ndarray:
@@ -219,10 +225,10 @@ def _pad_columns(x: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _subspace_blocks(x: np.ndarray, m: int, sub_dim: int) -> np.ndarray:
-    """Zero-pad x to m * sub_dim columns and stack its subspaces, (m, n, sub_dim)."""
-    xp = _pad_columns(x, m * sub_dim)
-    return np.ascontiguousarray(xp.reshape(x.shape[0], m, sub_dim).transpose(1, 0, 2))
+def _subspace_blocks(xp: np.ndarray, m: int, which=slice(None)) -> np.ndarray:
+    """Subspaces `which` of padded rows xp stacked, (len(which), n, sub_dim)."""
+    slices = xp.reshape(xp.shape[0], m, -1).transpose(1, 0, 2)
+    return np.ascontiguousarray(slices[which])
 
 
 def pq_train(x, m: int, k: int, iters: int = 25, seed: int = 0) -> PqCodebook:
@@ -233,6 +239,8 @@ def pq_train(x, m: int, k: int, iters: int = 25, seed: int = 0) -> PqCodebook:
     seed + j, so per-slice results can be reproduced independently:
     codebooks[j] equals kmeans_fit(slice_j, k, iters, seed + j).centroids
     rounded to float32. All subspaces are seeded in one batched k-means++ pass.
+    A subspace whose values are all +0.0, such as one of padding only, gets the
+    all-zero codebook k-means would give it without running k-means.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -245,11 +253,16 @@ def pq_train(x, m: int, k: int, iters: int = 25, seed: int = 0) -> PqCodebook:
     if iters < 0:
         raise DegenerateInput(f"pq_train: iters must be >= 0, got {iters}")
     sub_dim = -(-d // m)
-    blocks = _subspace_blocks(x, m, sub_dim)
-    seeds = kmeans_pp_seeds(blocks, k, [seed + j for j in range(m)])
-    codebooks = np.stack(
-        [kmeans_refine(blocks[j], seeds[j], iters=iters).centroids for j in range(m)]
-    )
+    xp = _pad_columns(x, m * sub_dim)
+    # k-means on a subspace of +0.0 only (zero padding) seeds and keeps +0.0
+    # centroids, so such a subspace gets them without a run. The test is on
+    # the bits: a subspace holding -0.0 runs.
+    live = np.flatnonzero(xp.reshape(n, m, sub_dim).view(np.int64).any(axis=(0, 2)))
+    blocks = _subspace_blocks(xp, m, live)
+    seeds = kmeans_pp_seeds(blocks, k, [seed + j for j in live])
+    codebooks = np.zeros((m, k, sub_dim))
+    for i, j in enumerate(live):
+        codebooks[j] = kmeans_refine(blocks[i], seeds[i], iters=iters).centroids
     return PqCodebook(dim=d, m=m, k=k, sub_dim=sub_dim, codebooks=_f32(codebooks))
 
 
@@ -286,8 +299,8 @@ def _pq_decode_padded(cb: PqCodebook, codes: np.ndarray) -> np.ndarray:
 # rotated product quantization
 # ---------------------------------------------------------------------------
 
-# Rows rotated at once by OPQ encode and decode, so that their padded and
-# rotated temporaries stay a few MB at any batch size. A large block gives a
+# Rows rotated at once by OPQ encode and decode, so that their rotated
+# temporaries stay a few MB at any batch size. A large block gives a
 # row the bits of a whole-batch product; BLAS may run a short last block of a
 # small matrix through another kernel, which can move the last bits.
 _ROW_BLOCK = 256
@@ -298,7 +311,11 @@ class OpqCodec:
     """Orthogonal rotation composed with a product quantizer.
 
     The rotation acts on inputs zero-padded to rotated_dim; the inner PQ is
-    trained in the rotated space, so pq.dim == rotated_dim.
+    trained in the rotated space, so pq.dim == rotated_dim. The zero columns
+    of a padded input meet only rotation[input_dim:], so encode rotates
+    x @ rotation[:input_dim] without building the padded copy, and decode
+    projects back with the same rows. Those rows alone fix the codes and the
+    reconstructions; rotation[input_dim:] may be any orthonormal completion.
     """
 
     input_dim: int
@@ -316,8 +333,7 @@ class OpqCodec:
         codes = np.empty((x.shape[0], self.pq.m), dtype=np.uint8)
         for lo in range(0, x.shape[0], _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
-            xr = _pad_columns(x[rows], self.rotated_dim) @ self.rotation
-            codes[rows] = _pq_encode_padded(self.pq, xr)
+            codes[rows] = _pq_encode_padded(self.pq, x[rows] @ self.rotation[: self.input_dim])
         return CodeBlock(n=x.shape[0], bytes_per_vector=self.pq.m, codes=codes)
 
     def decode(self, block: CodeBlock) -> np.ndarray:
@@ -345,8 +361,10 @@ class OpqCodec:
         return cls(input_dim, rotated_dim, rotation, pq)
 
 
-def _reconstruct(cb: PqCodebook, xr: np.ndarray) -> np.ndarray:
-    return _pq_decode_padded(cb, _pq_encode_padded(cb, xr))
+def _encode_error(cb: PqCodebook, xr: np.ndarray) -> tuple[np.ndarray, float]:
+    """Codes of padded rows xr and their total squared reconstruction error."""
+    codes = _pq_encode_padded(cb, xr)
+    return codes, float(np.sum((xr - _pq_decode_padded(cb, codes)) ** 2))
 
 
 def opq_train(
@@ -360,14 +378,20 @@ def opq_train(
 ) -> OpqCodec:
     """Alternate codebook and rotation updates to fit a rotated product quantizer.
 
-    Starts from the identity rotation and a plain PQ fit, then loops: re-solve
-    the rotation against the current reconstructions (orthogonal Procrustes),
-    and refine each subspace codebook by warm-started Lloyd iterations. Each
-    (codebook, rotation) pair is encoded and decoded once; that reconstruction
-    gives both its recorded objective and the next Procrustes target. Both
-    steps lower the total squared reconstruction error, so the recorded
-    objective never increases. With outer_iters=0 the result is exactly the
-    plain PQ fit.
+    Starts from the identity rotation and a plain PQ fit of the zero-padded
+    input, then loops: re-solve the rotation against the current
+    reconstructions (orthogonal Procrustes), and refine each subspace codebook
+    by warm-started Lloyd iterations. Each (codebook, rotation) pair is encoded
+    once; its codes give both its recorded objective and the next Procrustes
+    target. Both steps lower the total squared reconstruction error, so the
+    recorded objective never increases. With outer_iters=0 the result is
+    exactly the plain PQ fit.
+
+    Only the first fit sees the padding, and its all-zero subspaces take no
+    k-means (see pq_train). After it the fit works on the input's own d
+    columns: the rotated rows are x @ rotation[:d], and Procrustes solves the
+    padded problem from the (d, rotated_dim) cross-covariance x^T xhat, which
+    holds the padded one's only non-zero rows.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -386,22 +410,23 @@ def opq_train(
             f"opq_train: rotation update needs n >= rotated_dim, got n={n}, rotated_dim={rotated_dim}"
         )
 
-    xp = _pad_columns(x, rotated_dim)
-    xr = xp
+    xr = _pad_columns(x, rotated_dim)
     cb = pq_train(xr, m, k, iters=kmeans_iters, seed=seed)
-    xhat = _reconstruct(cb, xr)
-    history = [float(np.sum((xr - xhat) ** 2))]
+    codes, error = _encode_error(cb, xr)
+    history = [error]
 
     for _ in range(outer_iters):
-        rotation = _f32(procrustes(xp, xhat))
-        xr = xp @ rotation
-        blocks = _subspace_blocks(xr, m, cb.sub_dim)
-        new_books = np.stack(
-            [kmeans_refine(blocks[j], cb.codebooks[j], iters=kmeans_iters).centroids for j in range(m)]
-        )
-        cb = PqCodebook(dim=rotated_dim, m=m, k=k, sub_dim=cb.sub_dim, codebooks=_f32(new_books))
-        xhat = _reconstruct(cb, xr)
-        history.append(float(np.sum((xr - xhat) ** 2)))
+        # Only the codes outlive a step. The rows (zero-padded at first) go,
+        # and the reconstruction is decoded again as an argument, which
+        # procrustes drops before its SVD, the fit's memory peak.
+        del xr
+        rotation = _f32(procrustes(x, _pq_decode_padded(cb, codes)))
+        xr = x @ rotation[:d]
+        books = [kmeans_refine(block, book, iters=kmeans_iters).centroids
+                 for block, book in zip(_subspace_blocks(xr, m), cb.codebooks)]
+        cb = PqCodebook(dim=rotated_dim, m=m, k=k, sub_dim=cb.sub_dim, codebooks=_f32(np.stack(books)))
+        codes, error = _encode_error(cb, xr)
+        history.append(error)
 
     if outer_iters == 0:
         # Built only here: a rotated_dim-square identity held through the fit
@@ -564,7 +589,8 @@ _CLASSES = [cls for cls, _ in KINDS.values()]  # indexed by tag byte
 class CodecSettings:
     """The codec section of the pipeline config; each kind reads its own fields.
 
-    Every field's range is checked on construction whichever kind reads it.
+    Every field's range is checked on construction whichever kind reads it;
+    the dims save_codec writes (m, rotated_dim, out_dim) must fit a u32.
     What needs the data or combines fields (k <= rows, rotated_dim >= width,
     rotated_dim % m) is left to the trainers.
     """
@@ -593,6 +619,9 @@ class CodecSettings:
             raise ConfigError("codec.out_dim must be >= 1")
         if self.rotated_dim is not None and self.rotated_dim < 1:
             raise ConfigError("codec.rotated_dim must be >= 1")
+        for name in ("m", "rotated_dim", "out_dim"):
+            if (getattr(self, name) or 0) > U32_MAX:
+                raise ConfigError(f"codec.{name} must be <= {U32_MAX}, a u32 in the codec file")
         if self.seed < 0:
             raise ConfigError("codec.seed must be >= 0")
 

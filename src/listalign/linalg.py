@@ -301,21 +301,28 @@ def kmeans_refine(x, centroids, iters: int = 25) -> KmeansModel:
 
 
 def procrustes(a, b) -> np.ndarray:
-    """Orthogonal matrix R minimizing ||A R - B||_F.
+    """Orthogonal (D, D) matrix R minimizing ||[A 0] R - B||_F.
 
-    A and B must have the same (n, d) shape with n >= d. Classical solution:
-    R = U V^T from the SVD of A^T B.
+    A is (n, d) and B is (n, D) with d <= D <= n; A stands for itself
+    zero-padded to D columns. The padded cross-covariance [A 0]^T B has
+    non-zero rows only where A has columns, so one SVD of the (d, D) matrix
+    A^T B = U S V^T solves it: R = [U V^T[:d]; V^T[d:]]. With d == D that is
+    the classical U V^T, bit for bit.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"procrustes: shapes differ, {a.shape} vs {b.shape}")
-    n, d = a.shape
-    if n < d:
-        raise DegenerateInput(f"procrustes: need n >= d, got n={n}, d={d}")
+    (n, d), width = a.shape, b.shape[1]
+    if b.shape[0] != n or width < d:
+        raise ShapeMismatch(f"procrustes: a {a.shape} must have b's rows and at most its columns, "
+                            f"b {b.shape}")
+    if n < width:
+        raise DegenerateInput(f"procrustes: need n >= D, got n={n}, D={width}")
     with blas_threads(1):
-        u, _, vt = np.linalg.svd(a.T @ b)
-        return u @ vt
+        c = a.T @ b
+        del a, b  # a caller's temporary (OPQ's reconstruction) is freed before the SVD
+        u, _, vt = np.linalg.svd(c)
+        vt[:d] = u @ vt[:d]
+        return vt
 
 
 def _openblas_threads():

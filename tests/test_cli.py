@@ -366,6 +366,43 @@ def test_bad_codec_section_exits_2(workspace, tmp_path, capsys, kind, field, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, field", [
+    ({"m": 1, "rotated_dim": 2**40, "outer_iters": 0}, "rotated_dim"),  # else a MemoryError
+    ({"m": 1, "rotated_dim": 2**70, "outer_iters": 0}, "rotated_dim"),  # else a numpy ValueError
+    ({"m": 2**32}, "m"),
+    ({"kind": "pca", "out_dim": 2**32}, "out_dim"),
+])
+def test_codec_dim_beyond_u32_exits_2(workspace, tmp_path, capsys, section, field):
+    # the codec file writes these dims as u32, so a wider one is a config error
+    cfg_path = tmp_path / "codec.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, "codec": {"kind": "opq", **section}}))
+    out = tmp_path / "q"
+    assert main([
+        "quantize", "--config", str(cfg_path), "--emb", str(workspace["data"] / "train" / "text.emb"),
+        "--out", str(out), "--quiet",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: codec.{field} must be <= 4294967295") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_out_of_memory_is_the_stage_failure(workspace, tmp_path, capsys, monkeypatch):
+    def trainer(*args, **kwargs):
+        raise MemoryError("Unable to allocate 320. TiB for an array with shape (40, 1099511627776)")
+
+    monkeypatch.setattr(codecmod, "opq_train", trainer)
+    out = tmp_path / "q"
+    assert main([
+        "quantize", "--kind", "opq", "--emb", str(workspace["data"] / "train" / "text.emb"),
+        "--out", str(out), "--quiet",
+    ]) == 4
+    assert capsys.readouterr().err == (
+        "quantization failed: out of memory: Unable to allocate 320. TiB for an array with shape "
+        "(40, 1099511627776)\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage", ["gen", "train", "quantize"])
 @pytest.mark.parametrize("override", [
     None,

@@ -70,6 +70,35 @@ class TestPq:
             oracle = _f32(kmeans_fit(sl, k, iters=iters, seed=seed + j).centroids)
             np.testing.assert_array_equal(cb.codebooks[j], oracle)
 
+    @pytest.mark.parametrize("iters", [0, 4])
+    def test_zero_padded_subspaces_match_the_oracle(self, iters):
+        '''Subspaces of padding only get the codebook k-means gives them, +0.0.
+
+        d=10 over m=8 pads to 16 columns: subspaces 5, 6 and 7 hold only
+        padding and subspace 2 only zero columns, so they take no k-means;
+        the others keep their seed + j streams.
+        '''
+        x = _clustered(12, n=200, d=10)
+        x[:, 4:6] = 0.0
+        m, k, seed = 8, 8, 5
+        cb = codec.pq_train(x, m=m, k=k, iters=iters, seed=seed)
+        xp = np.zeros((x.shape[0], cb.padded_dim))
+        xp[:, :10] = x
+        for j in range(m):
+            sl = xp[:, j * cb.sub_dim : (j + 1) * cb.sub_dim]
+            oracle = _f32(kmeans_fit(sl, k, iters=iters, seed=seed + j).centroids)
+            assert cb.codebooks[j].tobytes() == oracle.tobytes()
+        assert not cb.codebooks[[2, 5, 6, 7]].view(np.int64).any()
+
+    def test_negative_zero_subspace_still_runs_kmeans(self):
+        '''-0.0 is not padding: k-means runs and its centroids keep their bits.'''
+        x = _clustered(13, n=120, d=6)
+        x[:, 2:4] = -0.0
+        cb = codec.pq_train(x, m=3, k=4, iters=3, seed=2)
+        oracle = _f32(kmeans_fit(x[:, 2:4], 4, iters=3, seed=3).centroids)
+        assert cb.codebooks[1].tobytes() == oracle.tobytes()
+        assert np.signbit(cb.codebooks[1]).any()  # a +0.0 codebook would differ
+
     def test_pads_when_m_does_not_divide_d(self):
         x = _clustered(2, n=200, d=7)
         cb = codec.pq_train(x, m=2, k=8, iters=10, seed=0)
@@ -166,14 +195,14 @@ class TestOpq:
         def recon(cb, xr):
             return codec.decode(cb, codec.encode(cb, xr))
 
-        xp = np.zeros((x.shape[0], 16))
-        xp[:, :14] = x
-        xr, rotation = xp, np.eye(16)
+        xr, rotation = np.zeros((x.shape[0], 16)), np.eye(16)
+        xr[:, :14] = x
         cb = codec.pq_train(xr, m=m, k=k, iters=iters, seed=seed)
         history = [float(np.sum((xr - recon(cb, xr)) ** 2))]
         for _ in range(outer_iters):
-            rotation = _f32(procrustes(xp, recon(cb, xr)))
-            xr = xp @ rotation
+            # Procrustes of the unpadded rows; they meet rotation[:14] only
+            rotation = _f32(procrustes(x, recon(cb, xr)))
+            xr = x @ rotation[:14]
             s = cb.sub_dim
             books = [
                 kmeans_refine(xr[:, j * s : (j + 1) * s], cb.codebooks[j], iters=iters).centroids
@@ -224,6 +253,22 @@ class TestOpq:
         assert opq.input_dim == 10 and opq.rotated_dim == 12
         recon = codec.decode(opq, codec.encode(opq, x))
         assert recon.shape == x.shape
+
+    def test_codes_ignore_the_rotation_rows_past_input_dim(self):
+        '''encode and decode read rotation[:input_dim] alone: another
+        orthonormal completion of those rows gives the same bytes.'''
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(300, 10))
+        opq = codec.opq_train(x, m=4, k=8, rotated_dim=12, outer_iters=2, seed=0, kmeans_iters=5)
+        head = opq.rotation[:10]
+        q, _ = np.linalg.qr(head.T, mode="complete")  # q[:, 10:] spans the complement
+        spin, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        other = replace(opq, rotation=np.vstack([head, spin @ q[:, 10:].T]))
+        np.testing.assert_allclose(other.rotation @ other.rotation.T, np.eye(12), atol=1e-6)
+        assert not np.allclose(other.rotation[10:], opq.rotation[10:])
+        block = codec.encode(opq, x)
+        np.testing.assert_array_equal(codec.encode(other, x).codes, block.codes)
+        assert codec.decode(other, block).tobytes() == codec.decode(opq, block).tobytes()
 
     def test_rejects_bad_rotated_dim(self):
         x = np.zeros((50, 10))

@@ -337,6 +337,14 @@ CASES = {
         a, b = rng.normal(size=(1300, 1280)), rng.normal(size=(1300, 1280))
         print(hashlib.sha256(procrustes(a, b).tobytes()).hexdigest())
     """,
+    "procrustes-narrow": """
+        import hashlib
+        import numpy as np
+        from listalign.linalg import procrustes
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(1300, 1024)), rng.normal(size=(1300, 1280))
+        print(hashlib.sha256(procrustes(a, b).tobytes()).hexdigest())
+    """,
     "quantize": """
         import hashlib, json
         import numpy as np
@@ -404,15 +412,40 @@ class TestProcrustes:
                 raise RuntimeError
         assert get() == before
 
-    @pytest.mark.parametrize("case", ["procrustes", "quantize"])
+    def test_narrow_a_solves_the_zero_padded_problem(self):
+        '''An a narrower than b stands for a zero-padded to b's width.'''
+        rng = np.random.default_rng(15)
+        a, b = rng.normal(size=(40, 5)), rng.normal(size=(40, 7))
+        r = procrustes(a, b)
+        np.testing.assert_allclose(r @ r.T, np.eye(7), atol=1e-12)
+        padded = np.hstack([a, np.zeros((40, 2))])
+        u, _, vt = np.linalg.svd(padded.T @ b)
+        reference = u @ vt
+        # only the top rows meet a's columns; the rest complete them
+        np.testing.assert_allclose(r[:5], reference[:5], atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(padded @ r - b), np.linalg.norm(padded @ reference - b),
+                                   rtol=1e-12)
+
+    def test_equal_widths_keep_the_classical_bytes(self):
+        rng = np.random.default_rng(16)
+        a, b = rng.normal(size=(60, 9)), rng.normal(size=(60, 9))
+        with blas_threads(1):
+            u, _, vt = np.linalg.svd(a.T @ b)
+            classical = u @ vt
+        assert procrustes(a, b).tobytes() == classical.tobytes()
+
+    @pytest.mark.parametrize("case", ["procrustes", "procrustes-narrow", "quantize"])
     def test_bytes_independent_of_blas_thread_count(self, tmp_path, case):
-        '''A 1300x1280 Procrustes solve and an OPQ quantize hash the same at 1 and 2 threads.'''
+        '''1300x1280 and 1300x1024-by-1280 Procrustes solves and an OPQ quantize
+        hash the same at 1 and 2 threads.'''
         digests = [_run_hashed(CASES[case], tmp_path / f"t{t}", t) for t in (1, 2)]
         assert digests[0] == digests[1]
 
     def test_shape_checks(self):
         with pytest.raises(ShapeMismatch):
-            procrustes(np.zeros((5, 3)), np.zeros((5, 4)))
+            procrustes(np.zeros((5, 4)), np.zeros((5, 3)))  # a wider than b
+        with pytest.raises(ShapeMismatch):
+            procrustes(np.zeros((5, 3)), np.zeros((6, 3)))
         with pytest.raises(DegenerateInput):
             procrustes(np.zeros((2, 3)), np.zeros((2, 3)))
 

@@ -6,11 +6,13 @@
 The command set runs in a temporary directory with BLAS on one thread:
 ``gen``; ``train`` at the default config, ``set_encoder.pool: "mean"``,
 ``loss.kind: "siglip"`` and ``schedule.grad_accum: 2``; ``quantize`` for
-every ``codec.KINDS`` entry; per trained checkpoint, on the saved gallery and
+every ``codec.KINDS`` entry, and once more as OPQ with ``rotated_dim`` 20 over
+the 16-wide ``text.emb`` (``m`` 5, so its last subspace is all padding, and
+``outer_iters`` 2); per trained checkpoint, on the saved gallery and
 on a copy of the checkpoint without one, ``eval --sweep 2,8,16,64
 --quantize-sweep --sweep-csv`` (64 being the default width, the last dim
 projects onto every row of the sweep basis), ``report`` of that eval and
-``search`` in all three modalities: 49 commands and 113 outputs with four
+``search`` in all three modalities: 50 commands and 118 outputs with four
 codec kinds. Each file written is one output, and so is each command's
 stdout (``<name>.stdout``); a command that fails stops the run. A change
 that must keep every artifact's bytes runs ``--against`` a checkout of its
@@ -41,6 +43,7 @@ TRAIN_CONFIGS = {
     "grad-accum-2": {"schedule": {"grad_accum": 2}},
 }
 MODALITIES = ("photo", "text", "multimodal")
+PADDED_OPQ = {"codec": {"kind": "opq", "m": 5, "rotated_dim": 20, "outer_iters": 2}}
 
 
 def _codec_kinds(tree: str) -> list[str]:
@@ -80,6 +83,10 @@ def run_commands(tree: str, work: str) -> dict[str, str]:
     for kind in _codec_kinds(tree):
         cli(f"quantize-{kind}", "quantize", "--kind", kind, "--emb", "data/train/text.emb",
             "--out", f"quantize-{kind}", "--quiet")
+    with open(os.path.join(work, "opq-padded.json"), "w", encoding="utf-8") as fh:
+        json.dump(PADDED_OPQ, fh)
+    cli("quantize-opq-padded", "quantize", "--config", "opq-padded.json", "--emb",
+        "data/train/text.emb", "--out", "quantize-opq-padded", "--quiet")
     for label, overrides in TRAIN_CONFIGS.items():
         config = os.path.join(work, f"{label}.json")
         with open(config, "w", encoding="utf-8") as fh:
